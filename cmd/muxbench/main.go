@@ -54,7 +54,7 @@ func main() {
 		"run the committed hot-path benchmarks (core engine, fleet tick, router pick) and print a markdown digest")
 	simcoreWrite := flag.String("simcore-write", "", "with -simcore: (re)write the BENCH_simcore.json baseline here")
 	simcoreCheck := flag.String("simcore-check", "",
-		"with -simcore: fail if allocs/request or ns/request regressed against this baseline")
+		"with -simcore: fail if allocs/request, bytes/request or ns/request regressed against this baseline")
 	replay := flag.Bool("replay", false,
 		"run the stress replay: many independent replicas shard-parallel over reused per-worker arenas")
 	replayReplicas := flag.Int("replay-replicas", 100, "with -replay: replica count")

@@ -16,9 +16,9 @@ import (
 const benchSchema = "muxwise/bench/v1"
 
 // allocRegressionLimit is the primary gate: -simcore-check fails when
-// any benchmark's allocs/request grows more than this fraction over the
-// committed baseline. Allocation counts are machine-independent (unlike
-// ns/op), so the gate is tight and portable.
+// any benchmark's allocs/request or bytes/request grows more than this
+// fraction over the committed baseline. Allocation counts and sizes are
+// machine-independent (unlike ns/op), so the gate is tight and portable.
 const allocRegressionLimit = 0.20
 
 // nsRegressionLimit gates ns/request, the wall-clock cost of one
@@ -29,10 +29,10 @@ const allocRegressionLimit = 0.20
 const nsRegressionLimit = 0.25
 
 // benchRecord is one hot-path benchmark's committed result. The
-// regression gate compares allocs/request (tight, machine-independent)
-// and ns/request (loose — timing describes the machine that wrote the
-// file, so its limit only catches order-of-magnitude regressions);
-// ns/op and events/s are informational.
+// regression gate compares allocs/request and bytes/request (tight,
+// machine-independent) and ns/request (loose — timing describes the
+// machine that wrote the file, so its limit only catches
+// order-of-magnitude regressions); ns/op and events/s are informational.
 type benchRecord struct {
 	Name         string  `json:"name"`
 	NsPerOp      float64 `json:"ns_per_op"`
@@ -43,6 +43,7 @@ type benchRecord struct {
 	BytesPerOp   int64   `json:"bytes_per_op"`
 	AllocsPerOp  int64   `json:"allocs_per_op"`
 	AllocsPerReq float64 `json:"allocs_per_request"`
+	BytesPerReq  float64 `json:"bytes_per_request"`
 }
 
 // benchFile is the BENCH_simcore.json layout.
@@ -77,6 +78,7 @@ func runBench(name string, fn func(*testing.B)) benchRecord {
 	}
 	if rec.ReqPerOp > 0 {
 		rec.AllocsPerReq = math.Round(float64(rec.AllocsPerOp)/rec.ReqPerOp*10) / 10
+		rec.BytesPerReq = math.Round(float64(rec.BytesPerOp) / rec.ReqPerOp)
 	}
 	return rec
 }
@@ -86,17 +88,18 @@ func runBench(name string, fn func(*testing.B)) benchRecord {
 func writeDigest(w io.Writer, bf benchFile) {
 	fmt.Fprintln(w, "### simcore hot-path benchmarks")
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "| benchmark | ns/op | req/op | events/s | ns/req | allocs/req |")
-	fmt.Fprintln(w, "|---|---|---|---|---|---|")
+	fmt.Fprintln(w, "| benchmark | ns/op | req/op | events/s | ns/req | allocs/req | bytes/req |")
+	fmt.Fprintln(w, "|---|---|---|---|---|---|---|")
 	for _, b := range bf.Benchmarks {
-		fmt.Fprintf(w, "| %s | %.0f | %.0f | %.0f | %.0f | %.1f |\n",
-			b.Name, b.NsPerOp, b.ReqPerOp, b.EventsPerSec, b.NsPerRequest, b.AllocsPerReq)
+		fmt.Fprintf(w, "| %s | %.0f | %.0f | %.0f | %.0f | %.1f | %.0f |\n",
+			b.Name, b.NsPerOp, b.ReqPerOp, b.EventsPerSec, b.NsPerRequest, b.AllocsPerReq, b.BytesPerReq)
 	}
 	fmt.Fprintln(w)
 }
 
 // checkBench gates the run against a committed baseline: any benchmark
-// whose allocs/request grew past the limit fails, as does a suite
+// whose allocs/request or bytes/request grew past the limit fails, as
+// does a suite
 // mismatch (a hot path silently dropped from the file would otherwise
 // un-gate itself).
 func checkBench(got benchFile, baselinePath string) error {
@@ -127,6 +130,12 @@ func checkBench(got benchFile, baselinePath string) error {
 				"%s: allocs/request %.1f vs baseline %.1f (+%.0f%%, limit +%.0f%%)",
 				g.Name, g.AllocsPerReq, w.AllocsPerReq,
 				(g.AllocsPerReq/w.AllocsPerReq-1)*100, allocRegressionLimit*100))
+		}
+		if w.BytesPerReq > 0 && g.BytesPerReq > w.BytesPerReq*(1+allocRegressionLimit) {
+			failures = append(failures, fmt.Sprintf(
+				"%s: bytes/request %.0f vs baseline %.0f (+%.0f%%, limit +%.0f%%)",
+				g.Name, g.BytesPerReq, w.BytesPerReq,
+				(g.BytesPerReq/w.BytesPerReq-1)*100, allocRegressionLimit*100))
 		}
 		if w.NsPerRequest > 0 && g.NsPerRequest > w.NsPerRequest*(1+nsRegressionLimit) {
 			failures = append(failures, fmt.Sprintf(
@@ -175,7 +184,7 @@ func runSimcore(writePath, checkPath string) error {
 		if err := checkBench(bf, checkPath); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "muxbench: allocs/request within +%.0f%%, ns/request within +%.0f%% of %s\n",
+		fmt.Fprintf(os.Stderr, "muxbench: allocs/request and bytes/request within +%.0f%%, ns/request within +%.0f%% of %s\n",
 			allocRegressionLimit*100, nsRegressionLimit*100, checkPath)
 	}
 	return nil

@@ -96,7 +96,7 @@ func TestPrefixCacheAcrossTurns(t *testing.T) {
 	tr := workload.Conversation(4, 40).WithPoissonArrivals(4, 0.5)
 	for _, r := range tr.Requests {
 		r := r
-		rec.Arrive(r.ID, r.Arrival, r.InputTokens)
+		rec.Arrive(r.ID, r.Arrival, r.InputTokens, r.OutputTokens)
 		s.At(r.Arrival, func() { e.Submit(r) })
 	}
 	s.Run()

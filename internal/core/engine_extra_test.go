@@ -61,7 +61,7 @@ func TestMaxBatchHonored(t *testing.T) {
 	tr := workload.ShareGPT(33, 100).WithPoissonArrivals(33, 100) // flood
 	for _, r := range tr.Requests {
 		r := r
-		rec.Arrive(r.ID, r.Arrival, r.InputTokens)
+		rec.Arrive(r.ID, r.Arrival, r.InputTokens, r.OutputTokens)
 		s.At(r.Arrival, func() {
 			e.Submit(r)
 			if got := e.inflight(); got > cfg.MaxBatch {
@@ -99,7 +99,7 @@ func TestFullCacheHitTurn(t *testing.T) {
 	}
 	for _, r := range []*workload.Request{first, second} {
 		r := r
-		rec.Arrive(r.ID, r.Arrival, r.InputTokens)
+		rec.Arrive(r.ID, r.Arrival, r.InputTokens, r.OutputTokens)
 		s.At(r.Arrival, func() { e.Submit(r) })
 	}
 	s.Run()
@@ -175,7 +175,7 @@ func TestGuardRuntimeRefinement(t *testing.T) {
 	tr := workload.ToolAgent(34, 30).WithPoissonArrivals(34, 3)
 	for _, r := range tr.Requests {
 		r := r
-		rec.Arrive(r.ID, r.Arrival, r.InputTokens)
+		rec.Arrive(r.ID, r.Arrival, r.InputTokens, r.OutputTokens)
 		s.At(r.Arrival, func() { e.Submit(r) })
 	}
 	s.Run()

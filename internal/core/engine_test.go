@@ -96,7 +96,7 @@ func TestMultiTurnCacheReuse(t *testing.T) {
 	eng := NewWithOptions(env, DefaultOptions())
 	for _, r := range tr.Requests {
 		r := r
-		rec.Arrive(r.ID, r.Arrival, r.InputTokens)
+		rec.Arrive(r.ID, r.Arrival, r.InputTokens, r.OutputTokens)
 		s.At(r.Arrival, func() { eng.Submit(r) })
 	}
 	s.Run()

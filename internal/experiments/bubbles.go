@@ -87,7 +87,7 @@ func bubbleRatio(p *gpu.Partition, window float64) float64 {
 func driveTrace(env *serve.Env, submit func(*workload.Request), tr *workload.Trace) {
 	for _, r := range tr.Requests {
 		r := r
-		env.Rec.Arrive(r.ID, r.Arrival, r.InputTokens)
+		env.Rec.Arrive(r.ID, r.Arrival, r.InputTokens, r.OutputTokens)
 		env.Sim.At(r.Arrival, func() { submit(r) })
 	}
 	env.Sim.Run()

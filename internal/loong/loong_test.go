@@ -66,7 +66,7 @@ func TestElasticPrefillGroups(t *testing.T) {
 	}
 	e := New(env).(*Engine)
 	r := &workload.Request{ID: 0, InputTokens: 60000, OutputTokens: 4}
-	env.Rec.Arrive(0, 0, r.InputTokens)
+	env.Rec.Arrive(0, 0, r.InputTokens, r.OutputTokens)
 	env.Sim.At(0, func() { e.Submit(r) })
 	env.Sim.Run()
 	maxTP := 0
@@ -94,7 +94,7 @@ func TestGPUAccountingInvariant(t *testing.T) {
 	tr := workload.ToolAgent(5, 40).WithPoissonArrivals(5, 2)
 	for _, r := range tr.Requests {
 		r := r
-		env.Rec.Arrive(r.ID, r.Arrival, r.InputTokens)
+		env.Rec.Arrive(r.ID, r.Arrival, r.InputTokens, r.OutputTokens)
 		env.Sim.At(r.Arrival, func() {
 			e.Submit(r)
 			if e.free < 0 || e.free+e.decodeGs > e.total {

@@ -109,19 +109,14 @@ type DiagnoseAux struct {
 // offered minus WithinSLO(slo) for the same run.
 func (r *Recorder) Diagnose(slo SLO, aux DiagnoseAux) MissBreakdown {
 	var b MissBreakdown
-	bad := map[int]bool{}
-	if slo.TBT > 0 {
-		target := slo.TBT.Seconds()
-		for _, s := range r.tbt {
-			if s.v > target {
-				bad[s.id] = true
-			}
-		}
-	}
 	for _, id := range r.ids {
+		if id == tombstoneID {
+			continue
+		}
 		rec := r.reqs[id]
+		tbtMiss := rec.tbtMiss(slo.TBT)
 		ttftMiss := slo.TTFT > 0 && rec.firstToken >= 0 && rec.firstToken-rec.arrival > slo.TTFT
-		if rec.done && rec.firstToken >= 0 && !bad[id] && !ttftMiss {
+		if rec.done && rec.firstToken >= 0 && !tbtMiss && !ttftMiss {
 			continue // within SLO, mirroring WithinSLO exactly
 		}
 		b.Misses++
@@ -132,7 +127,7 @@ func (r *Recorder) Diagnose(slo SLO, aux DiagnoseAux) MissBreakdown {
 			b.MigrationStall++
 		case !rec.done || rec.firstToken < 0:
 			b.Unfinished++
-		case bad[id]:
+		case tbtMiss:
 			b.TBTViolation++
 		case ttftMiss:
 			// Split the blown TTFT budget at the admission instant. A

@@ -10,7 +10,7 @@ func diagSLO() SLO { return SLO{TTFT: sim.Second, TBT: 50 * sim.Millisecond} }
 
 // finishCleanly drives a request through a fully SLO-compliant life.
 func finishCleanly(r *Recorder, id int, at sim.Time) {
-	r.Arrive(id, at, 100)
+	r.Arrive(id, at, 100, 0)
 	r.Admitted(id, at+10*sim.Millisecond)
 	r.Token(id, at+100*sim.Millisecond)
 	r.Token(id, at+120*sim.Millisecond)
@@ -24,39 +24,39 @@ func TestDiagnoseCauses(t *testing.T) {
 	finishCleanly(r, 1, 0)
 
 	// 2: TTFT miss dominated by queue wait (admitted late, served fast).
-	r.Arrive(2, 0, 100)
+	r.Arrive(2, 0, 100, 0)
 	r.Admitted(2, 1500*sim.Millisecond)
 	r.Token(2, 1600*sim.Millisecond)
 	r.Finish(2, 1600*sim.Millisecond)
 
 	// 3: TTFT miss dominated by prefill (admitted at once, slow to first
 	// token).
-	r.Arrive(3, 0, 100)
+	r.Arrive(3, 0, 100, 0)
 	r.Admitted(3, 10*sim.Millisecond)
 	r.Token(3, 1800*sim.Millisecond)
 	r.Finish(3, 1800*sim.Millisecond)
 
 	// 4: TBT violation (200ms inter-token gap).
-	r.Arrive(4, 0, 100)
+	r.Arrive(4, 0, 100, 0)
 	r.Admitted(4, 10*sim.Millisecond)
 	r.Token(4, 100*sim.Millisecond)
 	r.Token(4, 300*sim.Millisecond)
 	r.Finish(4, 300*sim.Millisecond)
 
 	// 5: unfinished at run end.
-	r.Arrive(5, 0, 100)
+	r.Arrive(5, 0, 100, 0)
 	r.Token(5, 100*sim.Millisecond)
 
 	// 6: TTFT miss with no admission recorded — queued its whole life.
-	r.Arrive(6, 0, 100)
+	r.Arrive(6, 0, 100, 0)
 	r.Token(6, 2*sim.Second)
 	r.Finish(6, 2*sim.Second)
 
 	// 7, 8: would be TTFT misses, but crashed / migration-held.
-	r.Arrive(7, 0, 100)
+	r.Arrive(7, 0, 100, 0)
 	r.Token(7, 2*sim.Second)
 	r.Finish(7, 2*sim.Second)
-	r.Arrive(8, 0, 100)
+	r.Arrive(8, 0, 100, 0)
 	r.Token(8, 2*sim.Second)
 	r.Finish(8, 2*sim.Second)
 
@@ -95,14 +95,14 @@ func TestDiagnoseMatchesWithinSLO(t *testing.T) {
 	for _, slo := range []SLO{diagSLO(), {TTFT: sim.Second}, {TBT: 50 * sim.Millisecond}, {}} {
 		r := NewRecorder()
 		finishCleanly(r, 1, 0)
-		r.Arrive(2, 0, 10)
+		r.Arrive(2, 0, 10, 0)
 		r.Token(2, 2*sim.Second)
 		r.Finish(2, 2*sim.Second)
-		r.Arrive(3, 0, 10)
+		r.Arrive(3, 0, 10, 0)
 		r.Token(3, 10*sim.Millisecond)
 		r.Token(3, 500*sim.Millisecond)
 		r.Finish(3, 500*sim.Millisecond)
-		r.Arrive(4, 0, 10)
+		r.Arrive(4, 0, 10, 0)
 
 		b := r.Diagnose(slo, DiagnoseAux{})
 		if got := len(r.IDs()) - r.WithinSLO(slo); b.Misses != got {
@@ -135,16 +135,44 @@ func TestMissBreakdownString(t *testing.T) {
 func TestAdmittedSemantics(t *testing.T) {
 	r := NewRecorder()
 	r.Admitted(1, 5) // unknown: ignored
-	r.Arrive(1, 0, 10)
+	r.Arrive(1, 0, 10, 0)
 	r.Admitted(1, 5)
 	r.Admitted(1, 9) // second call ignored
 	if rec := r.reqs[1]; rec.admitted != 5 {
 		t.Fatalf("admitted %v, want 5", rec.admitted)
 	}
 	r.Halt()
-	r.Arrive(2, 0, 10)
+	r.Arrive(2, 0, 10, 0)
 	r.Admitted(2, 5)
 	if _, ok := r.reqs[2]; ok {
 		t.Fatal("halted recorder accepted arrival")
+	}
+}
+
+// Aborting the middle of three requests leaves a tombstone in the ID
+// list (one tombstone does not outnumber two live entries, so nothing
+// compacts). Diagnose must skip it as every other iterator does.
+func TestDiagnoseSkipsAbortedSlot(t *testing.T) {
+	r := NewRecorder()
+	slo := diagSLO()
+	finishCleanly(r, 1, 0)
+	r.Arrive(2, 0, 100, 0)
+	r.Token(2, 100*sim.Millisecond)
+	r.Arrive(3, 0, 100, 0)
+	r.Token(3, 100*sim.Millisecond)
+	r.Token(3, 300*sim.Millisecond) // 200 ms gap: a TBT miss
+	r.Finish(3, 300*sim.Millisecond)
+	if !r.Abort(2) {
+		t.Fatal("abort of an open request reported no removal")
+	}
+	if r.tombstones != 1 {
+		t.Fatalf("tombstones %d, want 1 (the case needs an uncompacted slot)", r.tombstones)
+	}
+	b := r.Diagnose(slo, DiagnoseAux{})
+	if b.Misses != 1 || b.TBTViolation != 1 {
+		t.Fatalf("breakdown %+v, want one TBT miss", b)
+	}
+	if got := r.WithinSLO(slo); got != 1 {
+		t.Fatalf("WithinSLO %d, want 1", got)
 	}
 }

@@ -7,6 +7,12 @@
 // consecutive token emissions of a request (stricter than the TPOT
 // average, §4.1), TTFT is first-token time minus arrival, and SLO
 // attainment is the fraction of TBT samples within the target.
+//
+// Storage is per request: each request's record keeps the emission time
+// of every token after its first, in a slice sized up front from the
+// output length given to Arrive, plus its largest gap. TBT samples are
+// derived from those times when a summary is built, so recording a token
+// appends one sim.Time and nothing is pooled across requests.
 package metrics
 
 import (
@@ -26,16 +32,39 @@ type SLO struct {
 
 // reqRec tracks one request's lifecycle.
 type reqRec struct {
-	arrival     sim.Time
-	admitted    sim.Time // -1 until the engine admits it out of its queue
-	firstToken  sim.Time
-	lastToken   sim.Time
-	finished    sim.Time
+	arrival    sim.Time
+	admitted   sim.Time // -1 until the engine admits it out of its queue
+	firstToken sim.Time
+	lastToken  sim.Time
+	finished   sim.Time
+	// emits holds the emission time of every token after the first; gap
+	// k is emits[k] minus the previous emission (firstToken for k = 0).
+	emits []sim.Time
+	// maxGap is the request's largest inter-token gap, so the per-request
+	// TBT check needs no walk over emits.
+	maxGap      sim.Time
 	tokens      int
 	inputTokens int
 	idx         int // position in Recorder.ids (the removal index map)
-	tbtN        int // TBT samples this request contributed
 	done        bool
+}
+
+// tbtMiss reports whether some inter-token gap of the request exceeded a
+// positive target. It compares in seconds, as the samples are reported;
+// Seconds is monotone, so the largest gap decides.
+func (rec *reqRec) tbtMiss(target sim.Time) bool {
+	return target > 0 && rec.maxGap.Seconds() > target.Seconds()
+}
+
+// appendGaps appends the request's inter-token gaps in seconds, in
+// emission order.
+func (rec *reqRec) appendGaps(dst []float64) []float64 {
+	prev := rec.firstToken
+	for _, at := range rec.emits {
+		dst = append(dst, (at - prev).Seconds())
+		prev = at
+	}
+	return dst
 }
 
 // tombstoneID marks an aborted request's slot in the ids slice; iteration
@@ -43,16 +72,10 @@ type reqRec struct {
 // value.
 const tombstoneID = math.MinInt
 
-// tbtSample is one inter-token gap, tagged with the request that emitted
-// it and the emission time so windowed rollups and aborts can attribute
-// the sample.
-type tbtSample struct {
-	id int
-	at sim.Time
-	v  float64 // seconds
-}
-
-// Recorder collects latency samples during a simulation run.
+// Recorder collects latency samples during a simulation run. Each
+// request's samples live in its own record (see the package comment), so
+// dropping a request drops its samples with it and merging recorders
+// shares records instead of copying samples.
 type Recorder struct {
 	reqs map[int]*reqRec
 	// ids holds request IDs in insertion order for deterministic
@@ -63,7 +86,7 @@ type Recorder struct {
 	tombstones int
 	open       int // arrived-but-unfinished requests
 
-	tbt []tbtSample // all requests pooled
+	tbtN int // TBT samples over the live records (sizes TBTSamples)
 
 	prefillTokens int64
 	decodeTokens  int64
@@ -101,15 +124,23 @@ func (r *Recorder) SetTrace(tr *obs.Tracer, track string) {
 	r.track = track
 }
 
-// Arrive registers a request's arrival.
-func (r *Recorder) Arrive(id int, at sim.Time, inputTokens int) {
+// Arrive registers a request's arrival. outputTokens is the number of
+// tokens the request will generate: its record reserves room for that
+// many emissions minus the first, so recording a token does not grow a
+// slice. It is a sizing hint only; zero reserves nothing, and a request
+// that emits more still records every token.
+func (r *Recorder) Arrive(id int, at sim.Time, inputTokens, outputTokens int) {
 	if r.halted {
 		return
 	}
 	if _, ok := r.reqs[id]; ok {
 		return
 	}
-	r.reqs[id] = &reqRec{arrival: at, admitted: -1, firstToken: -1, inputTokens: inputTokens, idx: len(r.ids)}
+	rec := &reqRec{arrival: at, admitted: -1, firstToken: -1, inputTokens: inputTokens, idx: len(r.ids)}
+	if outputTokens > 1 {
+		rec.emits = make([]sim.Time, 0, outputTokens-1)
+	}
+	r.reqs[id] = rec
 	r.ids = append(r.ids, id)
 	r.open++
 	if r.trace != nil {
@@ -162,8 +193,11 @@ func (r *Recorder) Token(id int, at sim.Time) {
 				obs.Arg{Key: "ttft_ms", Val: (at - rec.arrival).Milliseconds()})
 		}
 	} else {
-		r.tbt = append(r.tbt, tbtSample{id: id, at: at, v: (at - rec.lastToken).Seconds()})
-		rec.tbtN++
+		rec.emits = append(rec.emits, at)
+		if gap := at - rec.lastToken; gap > rec.maxGap {
+			rec.maxGap = gap
+		}
+		r.tbtN++
 	}
 	rec.lastToken = at
 }
@@ -216,6 +250,7 @@ func (r *Recorder) Abort(id int) bool {
 	// re-prefill on the new replica is counted again on purpose, as the
 	// failure's cost in fleet throughput.
 	r.decodeTokens -= int64(rec.tokens)
+	r.tbtN -= len(rec.emits)
 	delete(r.reqs, id)
 	r.open--
 	// O(1) slot removal through the record's index; the order-preserving
@@ -225,15 +260,6 @@ func (r *Recorder) Abort(id int) bool {
 	r.tombstones++
 	if r.tombstones > len(r.ids)-r.tombstones {
 		r.compact()
-	}
-	if rec.tbtN > 0 {
-		kept := r.tbt[:0]
-		for _, s := range r.tbt {
-			if s.id != id {
-				kept = append(kept, s)
-			}
-		}
-		r.tbt = kept
 	}
 	return true
 }
@@ -275,8 +301,8 @@ type Quantiles struct {
 	N                       int
 }
 
-// quantiles summarises a sample set, sorting it IN PLACE — internal
-// callers own their slices; the exported QuantilesOf copies first.
+// quantiles summarises a sample set, sorting it IN PLACE — callers own
+// their slices.
 func quantiles(samples []float64) Quantiles {
 	q := Quantiles{N: len(samples)}
 	if len(samples) == 0 {
@@ -359,17 +385,26 @@ type Summary struct {
 
 // TBTAttainment returns the fraction of TBT samples within the SLO.
 func (r *Recorder) TBTAttainment(slo sim.Time) float64 {
-	if len(r.tbt) == 0 {
-		return 1
-	}
 	target := slo.Seconds()
-	ok := 0
-	for _, s := range r.tbt {
-		if s.v <= target {
-			ok++
+	n, ok := 0, 0
+	for _, id := range r.ids {
+		if id == tombstoneID {
+			continue
+		}
+		rec := r.reqs[id]
+		prev := rec.firstToken
+		for _, at := range rec.emits {
+			n++
+			if (at - prev).Seconds() <= target {
+				ok++
+			}
+			prev = at
 		}
 	}
-	return float64(ok) / float64(len(r.tbt))
+	if n == 0 {
+		return 1
+	}
+	return float64(ok) / float64(n)
 }
 
 // WithinSLO returns how many requests met the SLO end to end: finished,
@@ -379,22 +414,13 @@ func (r *Recorder) TBTAttainment(slo sim.Time) float64 {
 // span turns it into the frontier's goodput numerator. A zero TTFT or
 // TBT target disables that half of the check.
 func (r *Recorder) WithinSLO(slo SLO) int {
-	bad := map[int]bool{}
-	if slo.TBT > 0 {
-		target := slo.TBT.Seconds()
-		for _, s := range r.tbt {
-			if s.v > target {
-				bad[s.id] = true
-			}
-		}
-	}
 	n := 0
 	for _, id := range r.ids {
 		if id == tombstoneID {
 			continue
 		}
 		rec := r.reqs[id]
-		if !rec.done || rec.firstToken < 0 || bad[id] {
+		if !rec.done || rec.firstToken < 0 || rec.tbtMiss(slo.TBT) {
 			continue
 		}
 		if slo.TTFT > 0 && rec.firstToken-rec.arrival > slo.TTFT {
@@ -480,11 +506,16 @@ func (r *Recorder) IDs() []int {
 // Unfinished returns how many arrived requests have not completed.
 func (r *Recorder) Unfinished() int { return r.open }
 
-// TBTSamples exposes raw TBT samples in seconds (CDF plotting).
+// TBTSamples exposes raw TBT samples in seconds (CDF plotting). They are
+// grouped by request, requests in arrival order and each request's gaps
+// in emission order — not interleaved in emission order across requests.
 func (r *Recorder) TBTSamples() []float64 {
-	out := make([]float64, len(r.tbt))
-	for i, s := range r.tbt {
-		out[i] = s.v
+	out := make([]float64, 0, r.tbtN)
+	for _, id := range r.ids {
+		if id == tombstoneID {
+			continue
+		}
+		out = r.reqs[id].appendGaps(out)
 	}
 	return out
 }

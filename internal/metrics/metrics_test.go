@@ -13,7 +13,7 @@ func ms(v float64) sim.Time { return sim.FromSeconds(v / 1e3) }
 
 func TestTTFTAndTBT(t *testing.T) {
 	r := NewRecorder()
-	r.Arrive(1, 0, 100)
+	r.Arrive(1, 0, 100, 0)
 	r.Token(1, ms(250)) // TTFT 250ms
 	r.Token(1, ms(300)) // TBT 50ms
 	r.Token(1, ms(380)) // TBT 80ms
@@ -48,7 +48,7 @@ func near(got, want float64) bool {
 // TBT vs TPOT: an average can mask a slow token — TBT must not (§4.1).
 func TestTBTStricterThanTPOT(t *testing.T) {
 	r := NewRecorder()
-	r.Arrive(1, 0, 10)
+	r.Arrive(1, 0, 10, 0)
 	at := sim.Time(0)
 	r.Token(1, at)
 	// 99 fast tokens, one 900ms stall.
@@ -70,7 +70,7 @@ func TestTBTStricterThanTPOT(t *testing.T) {
 
 func TestAttainment(t *testing.T) {
 	r := NewRecorder()
-	r.Arrive(1, 0, 10)
+	r.Arrive(1, 0, 10, 0)
 	r.Token(1, ms(100))
 	for i := 1; i <= 10; i++ {
 		gap := 40.0
@@ -87,7 +87,7 @@ func TestAttainment(t *testing.T) {
 	}
 
 	r2 := NewRecorder()
-	r2.Arrive(7, 0, 10)
+	r2.Arrive(7, 0, 10, 0)
 	r2.Token(7, ms(400))
 	if got := r2.TTFTAttainment(ms(500)); got != 1 {
 		t.Fatalf("TTFT attainment = %v, want 1", got)
@@ -100,7 +100,7 @@ func TestAttainment(t *testing.T) {
 func TestUnfinishedMarksUnstable(t *testing.T) {
 	r := NewRecorder()
 	for i := 0; i < 100; i++ {
-		r.Arrive(i, 0, 10)
+		r.Arrive(i, 0, 10, 0)
 	}
 	for i := 0; i < 80; i++ {
 		r.Token(i, ms(10))
@@ -112,7 +112,7 @@ func TestUnfinishedMarksUnstable(t *testing.T) {
 	}
 	r2 := NewRecorder()
 	for i := 0; i < 100; i++ {
-		r2.Arrive(i, 0, 10)
+		r2.Arrive(i, 0, 10, 0)
 		r2.Token(i, ms(10))
 		r2.Finish(i, ms(20))
 	}
@@ -139,7 +139,7 @@ func TestPercentile(t *testing.T) {
 
 func TestThroughput(t *testing.T) {
 	r := NewRecorder()
-	r.Arrive(1, 0, 1000)
+	r.Arrive(1, 0, 1000, 0)
 	r.PrefillDone(1000)
 	r.Token(1, ms(100))
 	r.Token(1, ms(200))
@@ -155,9 +155,9 @@ func TestThroughput(t *testing.T) {
 
 func TestTTFTPerToken(t *testing.T) {
 	r := NewRecorder()
-	r.Arrive(1, 0, 1000)
+	r.Arrive(1, 0, 1000, 0)
 	r.Token(1, ms(500))
-	r.Arrive(2, 0, 100)
+	r.Arrive(2, 0, 100, 0)
 	r.Token(2, ms(200))
 	samples := r.TTFTPerTokenSamples()
 	sort.Float64s(samples)
@@ -171,9 +171,9 @@ func TestTTFTPerToken(t *testing.T) {
 
 func TestDuplicateAndUnknownIDs(t *testing.T) {
 	r := NewRecorder()
-	r.Arrive(1, 0, 10)
-	r.Arrive(1, ms(5), 20) // duplicate ignored
-	r.Token(99, ms(10))    // unknown ignored
+	r.Arrive(1, 0, 10, 0)
+	r.Arrive(1, ms(5), 20, 0) // duplicate ignored
+	r.Token(99, ms(10))       // unknown ignored
 	r.Finish(99, ms(10))
 	s := r.Summarize("t", ms(100))
 	if s.Requests != 1 {
@@ -239,7 +239,7 @@ func TestPropertyQuantilesOrdered(t *testing.T) {
 func TestPropertyAttainmentMonotone(t *testing.T) {
 	f := func(gaps []uint16, a, b uint16) bool {
 		r := NewRecorder()
-		r.Arrive(1, 0, 10)
+		r.Arrive(1, 0, 10, 0)
 		at := sim.Time(0)
 		r.Token(1, at)
 		for _, g := range gaps {
@@ -266,7 +266,7 @@ func TestAbortInterleavedOrderStability(t *testing.T) {
 	r := NewRecorder()
 	const n = 64
 	for id := 0; id < n; id++ {
-		r.Arrive(id, sim.Time(id)*ms(1), 10)
+		r.Arrive(id, sim.Time(id)*ms(1), 10, 0)
 	}
 	// Interleave: finish the multiples of 3, abort the multiples of 4
 	// (that aren't finished), alternating so tombstones pile up between
@@ -301,7 +301,7 @@ func TestAbortInterleavedOrderStability(t *testing.T) {
 	}
 	// An aborted ID re-arrives (failover re-dispatch routed back): it must
 	// take a fresh slot at the tail, not resurrect the old one.
-	r.Arrive(4, ms(500), 10)
+	r.Arrive(4, ms(500), 10, 0)
 	ids := r.IDs()
 	if ids[len(ids)-1] != 4 {
 		t.Fatalf("re-arrived ID not at tail: %v", ids[len(ids)-1])
@@ -318,8 +318,8 @@ func TestAbortInterleavedOrderStability(t *testing.T) {
 // Aborting mid-stream drops exactly the aborted request's TBT samples.
 func TestAbortDropsOnlyOwnTBT(t *testing.T) {
 	r := NewRecorder()
-	r.Arrive(1, 0, 10)
-	r.Arrive(2, 0, 10)
+	r.Arrive(1, 0, 10, 0)
+	r.Arrive(2, 0, 10, 0)
 	for i := 0; i < 5; i++ {
 		r.Token(1, ms(float64(10*i+10)))
 		r.Token(2, ms(float64(10*i+15)))

@@ -36,7 +36,7 @@ func Merge(recs ...*Recorder) *Recorder {
 				m.open++
 			}
 		}
-		m.tbt = append(m.tbt, r.tbt...)
+		m.tbtN += r.tbtN
 		m.prefillTokens += r.prefillTokens
 		m.decodeTokens += r.decodeTokens
 	}
@@ -77,7 +77,7 @@ func (w Window) Attainment() float64 {
 // Rollup slices the recorder's samples into the half-open windows
 // [bounds[i], bounds[i+1]). Bounds must be ascending; the last window is
 // closed at bounds[len-1]. The result is independent of the order
-// requests were recorded (samples are pooled and quantiles sorted), so
+// requests were recorded (each window's quantiles sort its samples), so
 // merged fleet recorders roll up identically regardless of replica merge
 // order.
 func (r *Recorder) Rollup(bounds []sim.Time) []Window {
@@ -110,6 +110,7 @@ func (r *Recorder) RollupSLO(bounds []sim.Time, tbtSLO sim.Time) []Window {
 		}
 		return i
 	}
+	target := tbtSLO.Seconds()
 	for _, id := range r.ids {
 		if id == tombstoneID {
 			continue
@@ -129,18 +130,20 @@ func (r *Recorder) RollupSLO(bounds []sim.Time, tbtSLO sim.Time) []Window {
 				wins[i].Finished++
 			}
 		}
-	}
-	target := tbtSLO.Seconds()
-	for _, s := range r.tbt {
-		i := locate(s.at)
-		if i < 0 {
-			continue
-		}
-		tbt[i] = append(tbt[i], s.v)
-		if tbtSLO > 0 {
-			wins[i].tbtN++
-			if s.v <= target {
-				wins[i].tbtOK++
+		prev := rec.firstToken
+		for _, at := range rec.emits {
+			v := (at - prev).Seconds()
+			prev = at
+			i := locate(at)
+			if i < 0 {
+				continue
+			}
+			tbt[i] = append(tbt[i], v)
+			if tbtSLO > 0 {
+				wins[i].tbtN++
+				if v <= target {
+					wins[i].tbtOK++
+				}
 			}
 		}
 	}
@@ -151,16 +154,11 @@ func (r *Recorder) RollupSLO(bounds []sim.Time, tbtSLO sim.Time) []Window {
 	return wins
 }
 
-// TTFTSamplesSince returns the TTFT samples (seconds) of requests whose
-// first token was observed at or after from, in arrival order. Fleet
-// autoscalers pool these across replicas before summarising.
-func (r *Recorder) TTFTSamplesSince(from sim.Time) []float64 {
-	return r.AppendTTFTSince(nil, from)
-}
-
-// AppendTTFTSince is TTFTSamplesSince with a caller-owned buffer: samples
-// are appended to dst (reusing its capacity), so per-tick autoscaler
-// snapshots do not allocate once the buffer has grown.
+// AppendTTFTSince appends to dst the TTFT samples (seconds) of requests
+// whose first token was observed at or after from, in arrival order, and
+// returns the extended slice. Fleet autoscalers pool these across
+// replicas before summarising; reusing dst's capacity keeps per-tick
+// snapshots from allocating once the buffer has grown.
 func (r *Recorder) AppendTTFTSince(dst []float64, from sim.Time) []float64 {
 	for _, id := range r.ids {
 		if id == tombstoneID {
@@ -174,15 +172,9 @@ func (r *Recorder) AppendTTFTSince(dst []float64, from sim.Time) []float64 {
 	return dst
 }
 
-// QuantilesOf summarises an arbitrary sample set (seconds) with the same
+// QuantilesInPlace summarises a sample set (seconds) with the same
 // statistics the recorder reports, for callers that pool samples across
-// recorders themselves. The input is not modified.
-func QuantilesOf(samples []float64) Quantiles {
-	return quantiles(append([]float64(nil), samples...))
-}
-
-// QuantilesInPlace is QuantilesOf for callers that own the sample slice:
-// it sorts samples in place, skipping the defensive copy. Per-tick
-// consumers (fleet autoscalers) pair it with AppendTTFTSince over a
-// reused scratch buffer.
+// recorders themselves. It sorts samples in place. Per-tick consumers
+// (fleet autoscalers) pair it with AppendTTFTSince over a reused scratch
+// buffer.
 func QuantilesInPlace(samples []float64) Quantiles { return quantiles(samples) }

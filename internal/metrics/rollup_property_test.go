@@ -19,8 +19,8 @@ func randomRecorders(rng *rand.Rand, replicas int, span sim.Time) []*Recorder {
 		n := 5 + rng.IntN(25)
 		for q := 0; q < n; q++ {
 			at := sim.Time(rng.Int64N(int64(span)))
-			r.Arrive(id, at, 64+rng.IntN(4000))
 			tokens := 1 + rng.IntN(12)
+			r.Arrive(id, at, 64+rng.IntN(4000), tokens)
 			t := at
 			for k := 0; k < tokens; k++ {
 				t += sim.Time(rng.Int64N(int64(200 * sim.Millisecond)))
@@ -104,13 +104,13 @@ func TestPropertyRollupPartitionsSumToTrace(t *testing.T) {
 		// The final bound must cover every sample: tokens can land after
 		// arrivals stop, so close the last window at the last emission.
 		end := sim.Time(0)
-		for _, s := range rec.tbt {
-			if s.at > end {
-				end = s.at
-			}
-		}
 		for _, id := range rec.ids {
 			r := rec.reqs[id]
+			for _, at := range r.emits {
+				if at > end {
+					end = at
+				}
+			}
 			if r.lastToken > end {
 				end = r.lastToken
 			}
@@ -131,10 +131,11 @@ func TestPropertyRollupPartitionsSumToTrace(t *testing.T) {
 				wantFinished++
 			}
 		}
-		wantTBT := len(rec.tbt)
+		samples := rec.TBTSamples()
+		wantTBT := len(samples)
 		wantOK := 0
-		for _, s := range rec.tbt {
-			if s.v <= slo.Seconds() {
+		for _, v := range samples {
+			if v <= slo.Seconds() {
 				wantOK++
 			}
 		}

@@ -8,14 +8,14 @@ import (
 
 func TestMergeCombinesRecorders(t *testing.T) {
 	a := NewRecorder()
-	a.Arrive(1, 0, 100)
+	a.Arrive(1, 0, 100, 0)
 	a.Token(1, 10*sim.Millisecond)
 	a.Token(1, 30*sim.Millisecond)
 	a.Finish(1, 30*sim.Millisecond)
 	a.PrefillDone(100)
 
 	b := NewRecorder()
-	b.Arrive(2, 0, 50)
+	b.Arrive(2, 0, 50, 0)
 	b.Token(2, 20*sim.Millisecond)
 	b.Token(2, 60*sim.Millisecond)
 	b.Finish(2, 60*sim.Millisecond)
@@ -40,7 +40,7 @@ func TestMergeCombinesRecorders(t *testing.T) {
 
 func TestMergeSkipsNilAndRejectsDuplicates(t *testing.T) {
 	a := NewRecorder()
-	a.Arrive(1, 0, 10)
+	a.Arrive(1, 0, 10, 0)
 	if got := len(Merge(a, nil).IDs()); got != 1 {
 		t.Fatalf("merged ids = %d, want 1", got)
 	}
@@ -58,7 +58,7 @@ func driveRecorder(ids []int) *Recorder {
 	r := NewRecorder()
 	for _, id := range ids {
 		base := sim.Time(id) * 100 * sim.Millisecond
-		r.Arrive(id, base, 50+10*id)
+		r.Arrive(id, base, 50+10*id, 0)
 		r.PrefillDone(50 + 10*id)
 		// First token 30ms after arrival, then tokens every (5+id)ms.
 		at := base + 30*sim.Millisecond
@@ -110,7 +110,7 @@ func TestRollupMergeOrderInvariant(t *testing.T) {
 func TestRollupAssignsSamplesByObservationTime(t *testing.T) {
 	r := NewRecorder()
 	// Arrives in window 0, first token in window 1, finishes in window 2.
-	r.Arrive(1, 50*sim.Millisecond, 100)
+	r.Arrive(1, 50*sim.Millisecond, 100, 0)
 	r.Token(1, 150*sim.Millisecond)
 	r.Token(1, 220*sim.Millisecond) // TBT 70ms, lands in window 2
 	r.Finish(1, 220*sim.Millisecond)
@@ -131,7 +131,7 @@ func TestRollupAssignsSamplesByObservationTime(t *testing.T) {
 	// The final bound is inclusive: a sample landing exactly on it stays
 	// in the last window.
 	r2 := NewRecorder()
-	r2.Arrive(1, 0, 10)
+	r2.Arrive(1, 0, 10, 0)
 	r2.Token(1, 100*sim.Millisecond)
 	r2.Token(1, 300*sim.Millisecond)
 	r2.Finish(1, 300*sim.Millisecond)
@@ -147,10 +147,10 @@ func TestRollupAssignsSamplesByObservationTime(t *testing.T) {
 
 func TestAbortAndHaltLifecycle(t *testing.T) {
 	r := NewRecorder()
-	r.Arrive(1, 0, 100)
+	r.Arrive(1, 0, 100, 0)
 	r.Token(1, 10*sim.Millisecond)
 	r.Token(1, 30*sim.Millisecond)
-	r.Arrive(2, 0, 100)
+	r.Arrive(2, 0, 100, 0)
 	r.Token(2, 15*sim.Millisecond)
 	r.Token(2, 40*sim.Millisecond)
 	r.Finish(2, 40*sim.Millisecond)
@@ -177,7 +177,7 @@ func TestAbortAndHaltLifecycle(t *testing.T) {
 
 	// The same ID can re-arrive (on another replica's recorder it would;
 	// here, on the same one) and merge cleanly.
-	r.Arrive(1, 0, 100)
+	r.Arrive(1, 0, 100, 0)
 	r.Token(1, 200*sim.Millisecond)
 	r.Finish(1, 200*sim.Millisecond)
 	if got := r.Summarize("x", sim.Second).Finished; got != 2 {
@@ -189,7 +189,7 @@ func TestAbortAndHaltLifecycle(t *testing.T) {
 	if !r.Halted() {
 		t.Fatal("Halted() should report true")
 	}
-	r.Arrive(3, 0, 10)
+	r.Arrive(3, 0, 10, 0)
 	r.Token(1, 300*sim.Millisecond)
 	r.PrefillDone(100)
 	r.Finish(1, 300*sim.Millisecond)
@@ -201,7 +201,7 @@ func TestAbortAndHaltLifecycle(t *testing.T) {
 
 func TestOnFinishFiresOnce(t *testing.T) {
 	r := NewRecorder()
-	r.Arrive(1, 0, 10)
+	r.Arrive(1, 0, 10, 0)
 	fired := 0
 	r.OnFinish = func(id int, at sim.Time) { fired++ }
 	r.Finish(1, sim.Second)

@@ -54,7 +54,7 @@ func TestPrefillRadixReuse(t *testing.T) {
 	tr := workload.Conversation(3, 40).WithPoissonArrivals(3, 0.4)
 	for _, r := range tr.Requests {
 		r := r
-		rec.Arrive(r.ID, r.Arrival, r.InputTokens)
+		rec.Arrive(r.ID, r.Arrival, r.InputTokens, r.OutputTokens)
 		s.At(r.Arrival, func() { e.Submit(r) })
 	}
 	s.Run()

@@ -87,7 +87,7 @@ func (i *Instance) Submit(r *workload.Request) {
 	if i.halted {
 		return
 	}
-	i.Rec.Arrive(r.ID, r.Arrival, r.InputTokens)
+	i.Rec.Arrive(r.ID, r.Arrival, r.InputTokens, r.OutputTokens)
 	i.Eng.Submit(r)
 }
 

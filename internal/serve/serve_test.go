@@ -98,8 +98,8 @@ func TestBatchStep(t *testing.T) {
 	var b Batch
 	a := &Running{R: req(1, 10, 2), Generated: 1}
 	c := &Running{R: req(2, 10, 5), Generated: 1}
-	rec.Arrive(1, 0, 10)
-	rec.Arrive(2, 0, 10)
+	rec.Arrive(1, 0, 10, 0)
+	rec.Arrive(2, 0, 10, 0)
 	b.Add(a)
 	b.Add(c)
 	fin := b.Step(sim.Second, rec)
