@@ -60,6 +60,7 @@ var simcoreSuite = []struct {
 	{"EngineStep", perf.EngineStep},
 	{"FleetTick", perf.FleetTick},
 	{"RouterPick", perf.RouterPick},
+	{"TraceGen", perf.TraceGen},
 }
 
 // runBench executes one benchmark body through testing.Benchmark and

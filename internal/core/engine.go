@@ -110,10 +110,9 @@ type Engine struct {
 	merging []*prefillJob // prefill-complete jobs awaiting a decode boundary
 	pending []*workload.Request
 
-	timeline    metrics.Timeline
-	configs     []int
-	curConfig   int
-	preemptions int
+	timeline  metrics.Timeline
+	configs   []int
+	curConfig int
 
 	// Per-iteration scratch, reused so the decode hot loop does not
 	// allocate.
@@ -127,9 +126,6 @@ type Engine struct {
 
 // track names the engine's flight-recorder track for one stream.
 func (e *Engine) track(stream string) string { return e.env.Label + "/" + stream }
-
-// Preemptions returns how many prefill batches preempted another.
-func (e *Engine) Preemptions() int { return e.preemptions }
 
 // New builds a MuxWise engine with default options.
 func New(env *serve.Env) serve.Engine { return NewWithOptions(env, DefaultOptions()) }
@@ -307,7 +303,6 @@ func (e *Engine) maybePreempt(job *prefillJob) {
 	if !meetsOwn && !short {
 		return
 	}
-	e.preemptions++
 	job.isPreemptor = true
 	// Pause the active job: it re-enters the queue right behind the
 	// preemptor and later resumes from layersDone.

@@ -1,9 +1,9 @@
 // Package perf holds the repo's committed hot-path benchmarks: the core
-// engine event loop, the lifecycle-managed cluster fleet, and the router
-// Pick path. The bodies live here (not in _test files) so cmd/muxbench
-// can run them through testing.Benchmark and commit the results as
-// BENCH_simcore.json — the per-commit events/sec and allocs/request
-// trend CI gates on.
+// engine event loop, the lifecycle-managed cluster fleet, the router
+// Pick path, and trace generation. The bodies live here (not in _test
+// files) so cmd/muxbench can run them through testing.Benchmark and
+// commit the results as BENCH_simcore.json — the per-commit events/sec
+// and allocs/request trend CI gates on.
 //
 // Every benchmark replays a fixed seeded workload, so the work per
 // iteration is deterministic: op-to-op variance is the machine, not the
@@ -115,6 +115,21 @@ func RouterPick(b *testing.B) {
 			}
 		}
 		reqs += int64(trace.Len())
+	}
+	b.StopTimer()
+	report(b, reqs, reqs)
+}
+
+// TraceGen generates the long-context LooGLE trace and the Fig. 13
+// bursty multi-turn mix inside the timer — the set-up cost every run
+// pays before its first event, mostly KV page identities.
+func TraceGen(b *testing.B) {
+	var reqs int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reqs += int64(muxwise.LooGLE(1, 500).Len())
+		reqs += int64(muxwise.MixedBursty(1, 200, 0.4).Len())
 	}
 	b.StopTimer()
 	report(b, reqs, reqs)

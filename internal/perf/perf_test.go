@@ -11,3 +11,4 @@ import "testing"
 func BenchmarkEngineStep(b *testing.B) { EngineStep(b) }
 func BenchmarkFleetTick(b *testing.B)  { FleetTick(b) }
 func BenchmarkRouterPick(b *testing.B) { RouterPick(b) }
+func BenchmarkTraceGen(b *testing.B)   { TraceGen(b) }

@@ -104,9 +104,6 @@ func (i *Instance) Open() []int { return i.Rec.OpenIDs() }
 // reads of either would include ghost activity.
 func (i *Instance) Halt() { i.halted = true; i.Rec.Halt() }
 
-// Halted reports whether the instance has been halted.
-func (i *Instance) Halted() bool { return i.halted }
-
 // Abort withdraws one in-flight request from the instance's metrics so
 // it can be re-dispatched to another replica under the same ID. The
 // engine keeps simulating the request (its KV stays until completion

@@ -148,15 +148,10 @@ type Batch struct {
 // Size returns the batch size.
 func (b *Batch) Size() int { return len(b.Reqs) }
 
-// Ctxs returns per-request attended context lengths for the cost model.
-func (b *Batch) Ctxs() []int {
-	return b.CtxsInto(make([]int, 0, len(b.Reqs)))
-}
-
-// CtxsInto is the allocation-free Ctxs: it fills dst (reusing its
-// capacity) and returns it. Engines keep one scratch slice and call this
-// every decode iteration; the cost model reads the slice synchronously
-// and never retains it.
+// CtxsInto fills dst (reusing its capacity) with the per-request
+// attended context lengths for the cost model and returns it. Engines
+// keep one scratch slice and call this every decode iteration; the cost
+// model reads the slice synchronously and never retains it.
 func (b *Batch) CtxsInto(dst []int) []int {
 	dst = dst[:0]
 	for _, r := range b.Reqs {

@@ -191,8 +191,11 @@ func (t *Trace) WithProfileArrivals(seed uint64, p RateProfile) *Trace {
 			times = append(times, ts)
 		}
 	}
-	if len(times) < len(t.Requests) {
-		t.Requests = t.Requests[:len(times)]
+	if n := len(times); n < len(t.Requests) {
+		// Nil the dropped tail so the backing array stops pinning those
+		// requests and their pages, and cap the slice at the kept length.
+		clear(t.Requests[n:])
+		t.Requests = t.Requests[:n:n]
 	}
 	mean := float64(len(times)) / p.Duration.Seconds()
 	return assignArrivals(t, times, sessionWindow(mean))

@@ -22,9 +22,11 @@ const (
 	// counts (~17× the largest model context simulated here).
 	maxJSONLTokens = 1 << 21
 	// maxJSONLTotalTokens budgets input+output tokens across the whole
-	// trace, bounding page reconstruction to tens of MB no matter how
-	// many near-cap lines the input stacks up (~4× the largest
-	// paper-scale trace).
+	// trace (~4× the largest paper-scale trace). A session's turns share
+	// one page array sized to its longest request, so page
+	// reconstruction stays under 32 MB (one 8-byte page ID per 16
+	// tokens of budget) no matter how many near-cap lines the input
+	// stacks up.
 	maxJSONLTotalTokens = 1 << 26
 	// maxJSONLArrivalSeconds bounds arrival timestamps (~3 simulated
 	// years; real traces span minutes).
@@ -115,20 +117,35 @@ func ReadJSONL(r io.Reader, name string) (*Trace, error) {
 		if len(tr.Requests) >= maxJSONLRequests {
 			return nil, fmt.Errorf("workload: line %d: trace exceeds %d requests", line, maxJSONLRequests)
 		}
-		stream := 0xFEED<<40 | uint64(rec.Session)
 		tr.Requests = append(tr.Requests, &Request{
 			ID: rec.ID, Session: rec.Session, Turn: rec.Turn,
 			Arrival:      sim.FromSeconds(rec.Arrival),
 			InputTokens:  rec.Input,
 			ReusedTokens: rec.Reused,
 			OutputTokens: rec.Output,
-			Pages:        streamPages(stream, 0, kvcache.PageCount(rec.Input, PageTokens)),
-			AllPages:     streamPages(stream, 0, kvcache.PageCount(rec.Input+rec.Output, PageTokens)),
 			Dataset:      rec.Dataset,
 		})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	// Every turn of a session reads stream 0xFEED<<40|session from page
+	// 0, so one array sized to the session's longest request serves all
+	// of them.
+	sessionPages := map[int]int{}
+	for _, r := range tr.Requests {
+		n := kvcache.PageCount(r.InputTokens+r.OutputTokens, PageTokens)
+		sessionPages[r.Session] = max(sessionPages[r.Session], n)
+	}
+	shared := make(map[int][]kvcache.PageID, len(sessionPages))
+	for _, r := range tr.Requests {
+		all, ok := shared[r.Session]
+		if !ok {
+			all = make([]kvcache.PageID, sessionPages[r.Session])
+			fillPages(all, 0xFEED<<40|uint64(r.Session), 0)
+			shared[r.Session] = all
+		}
+		r.sharePages(all)
 	}
 	sort.SliceStable(tr.Requests, func(i, j int) bool {
 		return tr.Requests[i].Arrival < tr.Requests[j].Arrival

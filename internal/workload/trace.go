@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -25,6 +24,11 @@ type Request struct {
 
 	// Pages covers the input context; AllPages additionally covers the
 	// output, i.e. what a finished request publishes into the KV cache.
+	// Pages is a prefix of AllPages, and every turn of a multi-turn
+	// session holds a prefix of one page array shared by the whole
+	// session. Callers must treat both slices as read-only; their
+	// capacity is capped at their length, so an append copies instead of
+	// overwriting a sibling turn's pages.
 	Pages    []kvcache.PageID
 	AllPages []kvcache.PageID
 
@@ -40,8 +44,13 @@ func (r *Request) NewTokens() int {
 	return n
 }
 
-// TotalTokens returns input plus output tokens.
-func (r *Request) TotalTokens() int { return r.InputTokens + r.OutputTokens }
+// sharePages points Pages and AllPages at capacity-capped prefixes of
+// all, a page array covering at least the request's input and output.
+func (r *Request) sharePages(all []kvcache.PageID) {
+	in := kvcache.PageCount(r.InputTokens, PageTokens)
+	n := kvcache.PageCount(r.InputTokens+r.OutputTokens, PageTokens)
+	r.Pages, r.AllPages = all[:in:in], all[:n:n]
+}
 
 // Trace is an ordered set of requests.
 type Trace struct {
@@ -52,26 +61,41 @@ type Trace struct {
 // Len returns the number of requests.
 func (t *Trace) Len() int { return len(t.Requests) }
 
-// pageID derives a stable unique page identity from a content stream and
-// a position within it.
-func pageID(stream uint64, idx int) kvcache.PageID {
-	h := fnv.New64a()
-	var buf [16]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(stream >> (8 * i))
-		buf[8+i] = byte(uint64(idx) >> (8 * i))
-	}
-	h.Write(buf[:])
-	return kvcache.PageID(h.Sum64())
-}
+// FNV-1a 64-bit parameters (hash/fnv). fnvPrime64x7 is fnvPrime64⁷
+// mod 2⁶⁴: an FNV-1a round over a zero byte only multiplies, so the six
+// zero high bytes of a page index below 2¹⁶, with the multiply of the
+// byte before them, fold into one multiply.
+const (
+	fnvOffset64  = 14695981039346656037
+	fnvPrime64   = 1099511628211
+	fnvPrime64x7 = 0xc5527b8a51d3d2db
+)
 
-// streamPages returns pages [from, to) of a content stream.
-func streamPages(stream uint64, from, to int) []kvcache.PageID {
-	out := make([]kvcache.PageID, 0, to-from)
-	for i := from; i < to; i++ {
-		out = append(out, pageID(stream, i))
+// fillPages sets dst[i] to the identity of page from+i of a content
+// stream: FNV-1a over the stream's and the index's little-endian bytes.
+// The stream's eight bytes are hashed once for the whole run of pages.
+func fillPages(dst []kvcache.PageID, stream uint64, from int) {
+	h := uint64(fnvOffset64)
+	for i := 0; i < 8; i++ {
+		h ^= (stream >> (8 * i)) & 0xff
+		h *= fnvPrime64
 	}
-	return out
+	for i := range dst {
+		idx := uint64(from + i)
+		g := h
+		if idx < 1<<16 {
+			g ^= idx & 0xff
+			g *= fnvPrime64
+			g ^= idx >> 8
+			g *= fnvPrime64x7
+		} else {
+			for b := 0; b < 8; b++ {
+				g ^= (idx >> (8 * b)) & 0xff
+				g *= fnvPrime64
+			}
+		}
+		dst[i] = kvcache.PageID(g)
+	}
 }
 
 // PageTokens is the page granularity all traces are generated with.
@@ -81,27 +105,26 @@ const PageTokens = kvcache.DefaultPageTokens
 // system prompt (OpenThoughts-style constant reused prefix).
 func singleTurn(name string, seed uint64, n int, in, out Dist, sysTokens int) *Trace {
 	rng := rand.New(rand.NewPCG(seed, 0x9E3779B97F4A7C15))
-	tr := &Trace{Name: name}
-	sysStream := uint64(0xC0FFEE)
-	sysPages := kvcache.PageCount(sysTokens, PageTokens)
+	tr := &Trace{Name: name, Requests: make([]*Request, 0, n)}
+	sysPages := make([]kvcache.PageID, kvcache.PageCount(sysTokens, PageTokens))
+	fillPages(sysPages, 0xC0FFEE, 0)
 	for i := 0; i < n; i++ {
 		input := in.SampleInt(rng)
 		if input <= sysTokens {
 			input = sysTokens + 1
 		}
 		output := out.SampleInt(rng)
-		stream := seed<<20 | uint64(i)
-		totalPages := kvcache.PageCount(input, PageTokens)
-		pages := append(streamPages(sysStream, 0, sysPages),
-			streamPages(stream, 0, totalPages-sysPages)...)
-		allPages := append(append([]kvcache.PageID{}, pages...),
-			streamPages(stream, totalPages-sysPages,
-				kvcache.PageCount(input+output, PageTokens)-sysPages)...)
-		tr.Requests = append(tr.Requests, &Request{
+		// The system prompt's pages, then the request's own stream.
+		all := make([]kvcache.PageID, kvcache.PageCount(input+output, PageTokens))
+		copy(all, sysPages)
+		fillPages(all[len(sysPages):], seed<<20|uint64(i), 0)
+		r := &Request{
 			ID: i, Session: i, Turn: 0,
 			InputTokens: input, ReusedTokens: sysTokens, OutputTokens: output,
-			Pages: pages, AllPages: allPages, Dataset: name,
-		})
+			Dataset: name,
+		}
+		r.sharePages(all)
+		tr.Requests = append(tr.Requests, r)
 	}
 	return tr
 }
@@ -139,14 +162,16 @@ type multiTurnParams struct {
 
 // multiTurn builds session traces where each turn's context is the full
 // history of the session (inputs + outputs), giving the growing reused
-// lengths of the Conversation and Tool&Agent traces.
+// lengths of the Conversation and Tool&Agent traces. A session's turns
+// are drawn first; one page array then covers the session's final
+// context, and every turn's Pages and AllPages are prefixes of it.
 func multiTurn(p multiTurnParams, seed uint64, sessions int) *Trace {
 	rng := rand.New(rand.NewPCG(seed, 0xD1B54A32D192ED03))
 	tr := &Trace{Name: p.name}
 	id := 0
 	for s := 0; s < sessions; s++ {
-		stream := seed<<22 | uint64(s)
 		turns := p.turns.SampleInt(rng)
+		first := len(tr.Requests)
 		ctx := 0 // tokens accumulated in the session so far
 		for turn := 0; turn < turns; turn++ {
 			in := p.firstInput
@@ -159,17 +184,18 @@ func multiTurn(p multiTurnParams, seed uint64, sessions int) *Trace {
 				break
 			}
 			input := ctx + newTok
-			inPages := kvcache.PageCount(input, PageTokens)
-			allPages := kvcache.PageCount(input+output, PageTokens)
 			tr.Requests = append(tr.Requests, &Request{
 				ID: id, Session: s, Turn: turn,
 				InputTokens: input, ReusedTokens: ctx, OutputTokens: output,
-				Pages:    streamPages(stream, 0, inPages),
-				AllPages: streamPages(stream, 0, allPages),
-				Dataset:  p.name,
+				Dataset: p.name,
 			})
 			id++
 			ctx = input + output
+		}
+		all := make([]kvcache.PageID, kvcache.PageCount(ctx, PageTokens))
+		fillPages(all, seed<<22|uint64(s), 0)
+		for _, r := range tr.Requests[first:] {
+			r.sharePages(all)
 		}
 	}
 	return tr

@@ -239,9 +239,23 @@ func TestBurstyProfileShape(t *testing.T) {
 
 func TestProfileArrivalsWithinWindow(t *testing.T) {
 	p := ToolAgentProfile(2)
-	tr := ToolAgent(11, 3000).WithProfileArrivals(11, p)
-	if tr.Len() == 0 {
-		t.Fatal("no arrivals generated")
+	tr := ToolAgent(11, 3000)
+	backing := tr.Requests
+	tr.WithProfileArrivals(11, p)
+	n := tr.Len()
+	if n == 0 || n >= len(backing) {
+		t.Fatalf("kept %d of %d requests, want a strict truncation", n, len(backing))
+	}
+	// Truncation must release the dropped requests and their pages: the
+	// kept slice is capacity-capped and the old backing array's tail no
+	// longer references them.
+	if cap(tr.Requests) != n {
+		t.Errorf("cap %d after truncation to %d", cap(tr.Requests), n)
+	}
+	for i, r := range backing[n:] {
+		if r != nil {
+			t.Fatalf("dropped request at %d still referenced", n+i)
+		}
 	}
 	for _, r := range tr.Requests {
 		if r.Arrival > p.Duration {
