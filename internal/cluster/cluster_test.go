@@ -178,13 +178,8 @@ func TestSessionStickiness(t *testing.T) {
 }
 
 // pdPages builds a page stream like the workload generator's.
-func pdPages(stream uint64, tokens int) []kvcache.PageID {
-	n := kvcache.PageCount(tokens, workload.PageTokens)
-	out := make([]kvcache.PageID, n)
-	for i := range out {
-		out[i] = kvcache.PageID(stream<<20 | uint64(i))
-	}
-	return out
+func pdPages(stream uint64, tokens int) kvcache.Seq {
+	return kvcache.Stream(stream, kvcache.PageCount(tokens, workload.PageTokens))
 }
 
 // pdTrace crafts cold long-prefill singletons plus short multi-turn

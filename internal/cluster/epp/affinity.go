@@ -32,9 +32,10 @@ func NewPrefixIndex(limit int) *PrefixIndex {
 }
 
 // Match counts how many leading pages of the sequence the index holds.
-func (ix *PrefixIndex) Match(pages []kvcache.PageID) int {
+func (ix *PrefixIndex) Match(pages kvcache.Seq) int {
 	n := 0
-	for _, pg := range pages {
+	it := pages.Iter()
+	for pg, ok := it.Next(); ok; pg, ok = it.Next() {
 		if _, ok := ix.pages[pg]; !ok {
 			break
 		}
@@ -45,23 +46,29 @@ func (ix *PrefixIndex) Match(pages []kvcache.PageID) int {
 
 // Add records pages the endpoint will cache once the request finishes,
 // evicting the oldest entries FIFO once the limit is reached.
-func (ix *PrefixIndex) Add(pages []kvcache.PageID) {
-	for _, pg := range pages {
-		if _, ok := ix.pages[pg]; ok {
-			continue
-		}
-		if len(ix.ring) < ix.limit {
-			ix.ring = append(ix.ring, pg)
-		} else {
-			delete(ix.pages, ix.ring[ix.head])
-			ix.ring[ix.head] = pg
-			ix.head++
-			if ix.head == len(ix.ring) {
-				ix.head = 0
-			}
-		}
-		ix.pages[pg] = struct{}{}
+func (ix *PrefixIndex) Add(pages kvcache.Seq) {
+	it := pages.Iter()
+	for pg, ok := it.Next(); ok; pg, ok = it.Next() {
+		ix.add(pg)
 	}
+}
+
+// add records one page.
+func (ix *PrefixIndex) add(pg kvcache.PageID) {
+	if _, ok := ix.pages[pg]; ok {
+		return
+	}
+	if len(ix.ring) < ix.limit {
+		ix.ring = append(ix.ring, pg)
+	} else {
+		delete(ix.pages, ix.ring[ix.head])
+		ix.ring[ix.head] = pg
+		ix.head++
+		if ix.head == len(ix.ring) {
+			ix.head = 0
+		}
+	}
+	ix.pages[pg] = struct{}{}
 }
 
 // Len reports how many pages the index currently holds.
@@ -114,7 +121,7 @@ func (a *Affinity[E]) StickyIn(r *workload.Request, cands []E) (E, bool) {
 
 // Match counts how many leading pages of the sequence the endpoint's
 // index advertises.
-func (a *Affinity[E]) Match(id int, pages []kvcache.PageID) int {
+func (a *Affinity[E]) Match(id int, pages kvcache.Seq) int {
 	ix := a.index[id]
 	if ix == nil {
 		return 0
@@ -162,5 +169,7 @@ func (a *Affinity[E]) SessionMigrated(session, from, to int, pages []kvcache.Pag
 		ix = NewPrefixIndex(a.limit)
 		a.index[to] = ix
 	}
-	ix.Add(pages)
+	for _, pg := range pages {
+		ix.add(pg)
+	}
 }

@@ -35,14 +35,6 @@ func req(id, session int) *workload.Request {
 	return &workload.Request{ID: id, Session: session, InputTokens: 100, OutputTokens: 10}
 }
 
-func pages(ids ...uint64) []kvcache.PageID {
-	out := make([]kvcache.PageID, len(ids))
-	for i, id := range ids {
-		out[i] = kvcache.PageID(id)
-	}
-	return out
-}
-
 func TestPipelineEmptyViewReturnsZero(t *testing.T) {
 	p := New("t", nil, []Profile[*ep]{{Name: "all"}})
 	if got := p.Pick(req(0, 0), vw(nil)); got != nil {
@@ -166,7 +158,7 @@ func TestAffinityRecordsPicksAndForgets(t *testing.T) {
 
 	turn := func(n int) *workload.Request {
 		r := req(n, 7)
-		r.AllPages = pages(1, 2, 3)
+		r.AllPages = kvcache.Stream(1, 3)
 		return r
 	}
 	home := p.Pick(turn(0), vw(reps))
@@ -189,7 +181,7 @@ func TestAffinityRecordsPicksAndForgets(t *testing.T) {
 	if id, ok := aff.Holder(7); ok && id == 2 {
 		t.Fatal("ReplicaDown left the session pinned to the dead endpoint")
 	}
-	if aff.Match(2, pages(1, 2, 3)) != 0 {
+	if aff.Match(2, kvcache.Stream(1, 3)) != 0 {
 		t.Fatal("ReplicaDown left the dead endpoint's prefix index advertising pages")
 	}
 }
@@ -198,13 +190,13 @@ func TestAffinityMigrationRehomesPin(t *testing.T) {
 	aff := NewAffinity[*ep]()
 	reps := fleet(2)
 	r := req(0, 3)
-	r.AllPages = pages(10, 11)
+	r.AllPages = kvcache.Stream(10, 2)
 	aff.Picked(r, reps[0])
-	aff.SessionMigrated(3, 0, 1, pages(10, 11))
+	aff.SessionMigrated(3, 0, 1, r.AllPages.AppendTo(nil))
 	if id, _ := aff.Holder(3); id != 1 {
 		t.Fatalf("pin did not follow the KV: holder %d, want 1", id)
 	}
-	if aff.Match(1, pages(10, 11)) != 2 {
+	if aff.Match(1, kvcache.Stream(10, 2)) != 2 {
 		t.Fatal("destination index must advertise the migrated pages")
 	}
 	// A newer pin wins over a stale migration completion.
@@ -248,10 +240,12 @@ func TestTTFTScorerLearnsAndForgets(t *testing.T) {
 // at the limit through sustained eviction, while FIFO semantics
 // (oldest out first) hold.
 func TestPrefixIndexRingStaysBounded(t *testing.T) {
-	const limit = 64
+	const limit, group = 64, 8
+	// 800 groups of 8 distinct pages each, one stream per group.
+	const groups = 100 * limit / group
 	ix := NewPrefixIndex(limit)
-	for start := uint64(0); start < 100*limit; start += 8 {
-		ix.Add(pages(start, start+1, start+2, start+3, start+4, start+5, start+6, start+7))
+	for g := uint64(0); g < groups; g++ {
+		ix.Add(kvcache.Stream(g, group))
 	}
 	if ix.Len() != limit {
 		t.Fatalf("index holds %d pages, want the limit %d", ix.Len(), limit)
@@ -259,17 +253,20 @@ func TestPrefixIndexRingStaysBounded(t *testing.T) {
 	if c := ix.RingCap(); c > limit {
 		t.Fatalf("ring capacity %d grew past the limit %d: eviction is pinning memory again", c, limit)
 	}
-	// FIFO: the newest `limit` pages are present, everything older gone.
-	last := uint64(100*limit - 1)
-	if got := ix.Match(pages(last)); got != 1 {
-		t.Fatal("newest page missing from the index")
+	// FIFO: the newest `limit` pages (the last limit/group groups, every
+	// page of each) are present, everything older gone.
+	if got := ix.Match(kvcache.Stream(groups-1, group)); got != group {
+		t.Fatal("newest pages missing from the index")
 	}
-	if got := ix.Match(pages(0)); got != 0 {
+	if got := ix.Match(kvcache.Stream(0, 1)); got != 0 {
 		t.Fatal("oldest page should have been evicted")
 	}
-	for pg := last; pg > last-limit; pg-- {
-		if ix.Match(pages(pg)) != 1 {
-			t.Fatalf("page %d inside the window was evicted", pg)
+	if got := ix.Match(kvcache.Stream(groups-limit/group-1, 1)); got != 0 {
+		t.Fatal("the newest page outside the window should have been evicted")
+	}
+	for g := uint64(groups - limit/group); g < groups; g++ {
+		if got := ix.Match(kvcache.Stream(g, group)); got != group {
+			t.Fatalf("group %d inside the window holds %d of %d pages", g, got, group)
 		}
 	}
 }

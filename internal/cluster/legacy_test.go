@@ -154,7 +154,7 @@ func (a *legacyAffinity) score(r *workload.Request, cands []*Replica) *Replica {
 	for _, rep := range cands {
 		m := 0
 		if ix := a.index[rep.ID]; ix != nil {
-			m = ix.match(r.Pages)
+			m = ix.match(r.Pages.AppendTo(nil))
 		}
 		switch {
 		case m > bestMatch:
@@ -173,7 +173,7 @@ func (a *legacyAffinity) record(r *workload.Request, rep *Replica) {
 		ix = newLegacyPrefixIndex()
 		a.index[rep.ID] = ix
 	}
-	ix.add(r.AllPages)
+	ix.add(r.AllPages.AppendTo(nil))
 }
 
 // ---- legacy prefix-affinity ----

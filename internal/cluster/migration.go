@@ -78,7 +78,7 @@ type MigrationStats struct {
 // the token span and pages of its latest completed turn.
 type sessionKV struct {
 	tokens int64
-	pages  []kvcache.PageID
+	pages  kvcache.Seq
 }
 
 // trackKV records, at turn completion, that rep's pool now holds the
@@ -129,7 +129,7 @@ type migration struct {
 	session  int
 	src, dst int // replica IDs
 	tokens   int64
-	pages    []kvcache.PageID
+	pages    kvcache.Seq
 	// req, when set, is a re-dispatched in-flight request held back
 	// until its KV lands (an immediate retire); nil for drain streams
 	// whose request finishes in place on the source.
@@ -182,7 +182,7 @@ func (c *Cluster) migrationTarget(src *Replica) *Replica {
 // request held until the stream lands. Returns false when no stream
 // could start (no routable target): the caller falls back to the
 // re-prefill path. Every call adds to the conservation total.
-func (c *Cluster) migrateKV(src *Replica, session int, tokens int64, pages []kvcache.PageID, req *workload.Request) bool {
+func (c *Cluster) migrateKV(src *Replica, session int, tokens int64, pages kvcache.Seq, req *workload.Request) bool {
 	c.migStats.DrainKVTokens += tokens
 	dst := c.migrationTarget(src)
 	if dst == nil {
@@ -251,7 +251,7 @@ func (c *Cluster) finishMigration(m *migration) {
 		dst.sessions[m.session] = sessionKV{tokens: m.tokens, pages: m.pages}
 	}
 	if mo, ok := c.Router.(MigrationObserver); ok {
-		mo.SessionMigrated(m.session, m.src, m.dst, m.pages)
+		mo.SessionMigrated(m.session, m.src, m.dst, m.pages.AppendTo(nil))
 	}
 	c.logf("kv-arrived session %d at %s (%d tokens)", m.session, dst.Name, m.tokens)
 	if c.trace != nil {
@@ -355,7 +355,7 @@ func (c *Cluster) sweepSessionKV(rep *Replica) {
 		held := int64(matched * pageTokens)
 		pages := kv.pages
 		if held < kv.tokens {
-			pages = pages[:matched]
+			pages = pages.Prefix(matched)
 		} else {
 			held = kv.tokens
 		}

@@ -166,14 +166,11 @@ func TestFailDuringMigrationRePrefills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages := make([]kvcache.PageID, 520)
-	for i := range pages {
-		pages[i] = kvcache.PageID(i + 1)
-	}
+	pages := kvcache.Stream(1, 520)
 	req := &workload.Request{
 		ID: 1, Session: 9, Arrival: 0,
 		InputTokens: 8000, OutputTokens: 320,
-		Pages:    pages[:500],
+		Pages:    pages.Prefix(500),
 		AllPages: pages,
 	}
 	s.At(0, func() { c.Replicas[0].submit(req) })
@@ -228,14 +225,11 @@ func TestMigrationOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages := make([]kvcache.PageID, 260)
-	for i := range pages {
-		pages[i] = kvcache.PageID(i + 1)
-	}
+	pages := kvcache.Stream(1, 260)
 	req := &workload.Request{
 		ID: 1, Session: 9, Arrival: 0,
 		InputTokens: 4096, OutputTokens: 64,
-		Pages:    pages[:256],
+		Pages:    pages.Prefix(256),
 		AllPages: pages,
 	}
 	var before, during, after int64

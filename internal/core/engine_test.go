@@ -26,13 +26,7 @@ func cfg70B() serve.Config {
 	}
 }
 
-func pages(stream uint64, n int) []kvcache.PageID {
-	out := make([]kvcache.PageID, n)
-	for i := range out {
-		out[i] = kvcache.PageID(stream<<32 | uint64(i))
-	}
-	return out
-}
+func pages(stream uint64, n int) kvcache.Seq { return kvcache.Stream(stream, n) }
 
 func TestSingleRequestLifecycle(t *testing.T) {
 	tr := &workload.Trace{Name: "one"}

@@ -135,11 +135,6 @@ func TestDegenerateWorkloads(t *testing.T) {
 	}
 }
 
-func pageSeq(stream uint64, tokens int) []kvcache.PageID {
-	n := (tokens + 15) / 16
-	out := make([]kvcache.PageID, n)
-	for i := range out {
-		out[i] = kvcache.PageID(stream<<32 | uint64(i))
-	}
-	return out
+func pageSeq(stream uint64, tokens int) kvcache.Seq {
+	return kvcache.Stream(stream, kvcache.PageCount(tokens, 16))
 }

@@ -4,9 +4,9 @@
 // prefix reuse, LRU eviction, and pinning for in-flight requests.
 //
 // Token content is abstracted as a sequence of PageIDs: two requests that
-// share a context prefix present the same leading page IDs (the workload
-// generator derives IDs from session identity and position), so prefix
-// matching behaves exactly like hash-based radix caching over real tokens.
+// share a context prefix present the same leading page IDs (a page's ID
+// hashes its content stream and position, see Seq), so prefix matching
+// behaves exactly like hash-based radix caching over real tokens.
 package kvcache
 
 // PageID identifies the content of one KV page (a hash over the tokens it
@@ -241,10 +241,11 @@ func (p *Pool) listIfEvictable(n *node) {
 // without refreshing recency or recording statistics — a read-only
 // probe for callers (KV migration) that ask "what does this pool still
 // hold?" rather than performing an admission lookup.
-func (p *Pool) Peek(pages []PageID) int {
+func (p *Pool) Peek(pages Seq) int {
 	n := p.root
 	matched := 0
-	for _, pg := range pages {
+	it := pages.Iter()
+	for pg, ok := it.Next(); ok; pg, ok = it.Next() {
 		child := n.child(pg)
 		if child == nil {
 			break
@@ -257,10 +258,11 @@ func (p *Pool) Peek(pages []PageID) int {
 
 // Match walks the tree and returns how many leading pages of the sequence
 // are cached, refreshing their recency.
-func (p *Pool) Match(pages []PageID) int {
+func (p *Pool) Match(pages Seq) int {
 	n := p.root
 	matched := 0
-	for _, pg := range pages {
+	it := pages.Iter()
+	for pg, ok := it.Next(); ok; pg, ok = it.Next() {
 		child := n.child(pg)
 		if child == nil {
 			break
@@ -274,7 +276,7 @@ func (p *Pool) Match(pages []PageID) int {
 
 // MatchTokens performs Match and converts the result to tokens, capped at
 // totalTokens, recording hit/miss statistics.
-func (p *Pool) MatchTokens(pages []PageID, totalTokens int) int {
+func (p *Pool) MatchTokens(pages Seq, totalTokens int) int {
 	hitPages := p.Match(pages)
 	hit := hitPages * p.pageTokens
 	if hit > totalTokens {
@@ -343,16 +345,23 @@ func (p *Pool) Release(tokens int64) {
 // request's full context). Pages already present are deduplicated. If
 // space runs out mid-insert, the remaining suffix is dropped — matching
 // radix caches that keep whatever prefix fits. Returns pages added.
-func (p *Pool) Insert(pages []PageID) int {
+func (p *Pool) Insert(pages Seq) int {
 	n := p.root
 	added := 0
-	for _, pg := range pages {
+	it := pages.Iter()
+	for pg, ok := it.Next(); ok; pg, ok = it.Next() {
 		if child := n.child(pg); child != nil {
 			p.touch(child)
 			n = child
 			continue
 		}
-		if !p.freeTokens(int64(p.pageTokens)) {
+		// The insertion path's tip may itself be an evictable leaf;
+		// pinned while evicting, the kept prefix stays reachable.
+		n.pins++
+		freed := p.freeTokens(int64(p.pageTokens))
+		n.pins--
+		if !freed {
+			p.listIfEvictable(n)
 			break
 		}
 		child := p.allocNode(pg, n)
@@ -369,19 +378,20 @@ func (p *Pool) Insert(pages []PageID) int {
 // Pin protects the first count pages of the sequence (walking from the
 // root) from eviction. Pages not present are ignored. Unpin must mirror
 // each Pin with the same arguments.
-func (p *Pool) Pin(pages []PageID, count int) {
-	p.adjustPins(pages, count, +1)
+func (p *Pool) Pin(pages Seq, count int) {
+	p.adjustPins(pages.Prefix(count), +1)
 }
 
 // Unpin releases a prior Pin.
-func (p *Pool) Unpin(pages []PageID, count int) {
-	p.adjustPins(pages, count, -1)
+func (p *Pool) Unpin(pages Seq, count int) {
+	p.adjustPins(pages.Prefix(count), -1)
 }
 
-func (p *Pool) adjustPins(pages []PageID, count, delta int) {
+func (p *Pool) adjustPins(pages Seq, delta int) {
 	n := p.root
-	for i := 0; i < count && i < len(pages); i++ {
-		child := n.child(pages[i])
+	it := pages.Iter()
+	for pg, ok := it.Next(); ok; pg, ok = it.Next() {
+		child := n.child(pg)
 		if child == nil {
 			return
 		}

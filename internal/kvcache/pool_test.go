@@ -6,12 +6,10 @@ import (
 	"testing/quick"
 )
 
-func seq(ids ...uint64) []PageID {
-	out := make([]PageID, len(ids))
-	for i, v := range ids {
-		out[i] = PageID(v)
-	}
-	return out
+// fork returns n pages: the first shared pages of stream head, then
+// stream body — a sequence that branches off head after shared pages.
+func fork(head uint64, shared int, body uint64, n int) Seq {
+	return Seq{Head: head, HeadPages: int32(shared), Body: body, N: int32(n)}
 }
 
 func TestPageCount(t *testing.T) {
@@ -27,24 +25,24 @@ func TestPageCount(t *testing.T) {
 
 func TestMatchEmptyPool(t *testing.T) {
 	p := New(1000, 16)
-	if got := p.Match(seq(1, 2, 3)); got != 0 {
+	if got := p.Match(Stream(1, 3)); got != 0 {
 		t.Fatalf("Match on empty pool = %d, want 0", got)
 	}
 }
 
 func TestInsertThenMatch(t *testing.T) {
 	p := New(1000, 16)
-	added := p.Insert(seq(1, 2, 3))
+	added := p.Insert(Stream(1, 3))
 	if added != 3 {
 		t.Fatalf("Insert added %d, want 3", added)
 	}
-	if got := p.Match(seq(1, 2, 3, 4)); got != 3 {
+	if got := p.Match(Stream(1, 4)); got != 3 {
 		t.Fatalf("Match = %d, want 3", got)
 	}
-	if got := p.Match(seq(1, 9)); got != 1 {
+	if got := p.Match(fork(1, 1, 9, 2)); got != 1 {
 		t.Fatalf("partial Match = %d, want 1", got)
 	}
-	if got := p.Match(seq(9)); got != 0 {
+	if got := p.Match(Stream(9, 1)); got != 0 {
 		t.Fatalf("mismatch Match = %d, want 0", got)
 	}
 	if p.Used() != 3*16 {
@@ -54,8 +52,8 @@ func TestInsertThenMatch(t *testing.T) {
 
 func TestInsertDeduplicates(t *testing.T) {
 	p := New(1000, 16)
-	p.Insert(seq(1, 2, 3))
-	if added := p.Insert(seq(1, 2, 3, 4)); added != 1 {
+	p.Insert(Stream(1, 3))
+	if added := p.Insert(Stream(1, 4)); added != 1 {
 		t.Fatalf("second Insert added %d, want 1 (dedup)", added)
 	}
 	if p.Used() != 4*16 {
@@ -65,12 +63,12 @@ func TestInsertDeduplicates(t *testing.T) {
 
 func TestBranchingPrefixes(t *testing.T) {
 	p := New(1000, 16)
-	p.Insert(seq(1, 2, 3))
-	p.Insert(seq(1, 2, 7, 8))
-	if got := p.Match(seq(1, 2, 3)); got != 3 {
+	p.Insert(Stream(1, 3))
+	p.Insert(fork(1, 2, 7, 4))
+	if got := p.Match(Stream(1, 3)); got != 3 {
 		t.Fatalf("branch A match = %d, want 3", got)
 	}
-	if got := p.Match(seq(1, 2, 7, 8)); got != 4 {
+	if got := p.Match(fork(1, 2, 7, 4)); got != 4 {
 		t.Fatalf("branch B match = %d, want 4", got)
 	}
 	if p.Used() != 5*16 {
@@ -80,8 +78,8 @@ func TestBranchingPrefixes(t *testing.T) {
 
 func TestMatchTokensStats(t *testing.T) {
 	p := New(1000, 16)
-	p.Insert(seq(1, 2))
-	hit := p.MatchTokens(seq(1, 2, 3), 40)
+	p.Insert(Stream(1, 2))
+	hit := p.MatchTokens(Stream(1, 3), 40)
 	if hit != 32 {
 		t.Fatalf("MatchTokens = %d, want 32", hit)
 	}
@@ -93,22 +91,22 @@ func TestMatchTokensStats(t *testing.T) {
 		t.Fatalf("HitRate = %.2f, want 0.8", r)
 	}
 	// Hit capped at totalTokens.
-	if hit := p.MatchTokens(seq(1, 2), 20); hit != 20 {
+	if hit := p.MatchTokens(Stream(1, 2), 20); hit != 20 {
 		t.Fatalf("capped MatchTokens = %d, want 20", hit)
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
 	p := New(4*16, 16) // 4 pages
-	p.Insert(seq(1, 2))
-	p.Insert(seq(10, 20))
-	// Refresh branch {1,2}; then overflow should evict from {10,20} first.
-	p.Match(seq(1, 2))
-	p.Insert(seq(100, 200)) // needs 2 pages → evicts 20 then 10
-	if got := p.Match(seq(1, 2)); got != 2 {
+	p.Insert(Stream(1, 2))
+	p.Insert(Stream(10, 2))
+	// Refresh branch 1; then overflow should evict from branch 10 first.
+	p.Match(Stream(1, 2))
+	p.Insert(Stream(100, 2)) // needs 2 pages → evicts branch 10 leaf-first
+	if got := p.Match(Stream(1, 2)); got != 2 {
 		t.Fatalf("recently used branch evicted; match = %d, want 2", got)
 	}
-	if got := p.Match(seq(10, 20)); got != 0 {
+	if got := p.Match(Stream(10, 2)); got != 0 {
 		t.Fatalf("LRU branch survived; match = %d, want 0", got)
 	}
 	if p.Stats().Evictions != 2 {
@@ -118,33 +116,61 @@ func TestLRUEviction(t *testing.T) {
 
 func TestEvictionLeafFirst(t *testing.T) {
 	p := New(3*16, 16)
-	p.Insert(seq(1, 2, 3))
+	p.Insert(Stream(1, 3))
 	// Inserting one new page evicts the deepest (leaf) page of the chain.
-	p.Insert(seq(9))
-	if got := p.Match(seq(1, 2, 3)); got != 2 {
+	p.Insert(Stream(9, 1))
+	if got := p.Match(Stream(1, 3)); got != 2 {
 		t.Fatalf("after leaf eviction match = %d, want 2 (prefix intact)", got)
+	}
+}
+
+// An insert that fills the pool must not evict its own insertion path:
+// the kept prefix stays reachable from the root.
+func TestInsertKeepsPrefixThatFits(t *testing.T) {
+	p := New(3*16, 16)
+	if added := p.Insert(Stream(1, 5)); added != 3 {
+		t.Fatalf("Insert into a 3-page pool added %d, want 3", added)
+	}
+	if got := p.Match(Stream(1, 5)); got != 3 {
+		t.Fatalf("Match after a truncated insert = %d, want the 3-page prefix", got)
+	}
+	if p.Used() != 3*16 || p.Stats().Evictions != 0 {
+		t.Fatalf("Used = %d, evictions = %d; want 48 and 0", p.Used(), p.Stats().Evictions)
+	}
+	// The truncated path stays evictable: a later insert takes its room
+	// leaf first.
+	p = New(3*16, 16)
+	p.Insert(Stream(1, 5))
+	if added := p.Insert(Stream(2, 2)); added != 2 {
+		t.Fatalf("second branch added %d, want 2", added)
+	}
+	if got := p.Match(Stream(2, 2)); got != 2 {
+		t.Fatalf("second branch match = %d, want 2", got)
+	}
+	if got := p.Match(Stream(1, 5)); got != 1 {
+		t.Fatalf("first branch match = %d, want its 1-page prefix", got)
 	}
 }
 
 func TestPinPreventsEviction(t *testing.T) {
 	p := New(2*16, 16)
-	p.Insert(seq(1, 2))
-	p.Pin(seq(1, 2), 2)
-	if added := p.Insert(seq(9)); added != 0 {
+	p.Insert(Stream(1, 2))
+	p.Pin(Stream(1, 2), 2)
+	if added := p.Insert(Stream(9, 1)); added != 0 {
 		t.Fatalf("Insert with fully pinned pool added %d, want 0", added)
 	}
-	p.Unpin(seq(1, 2), 2)
-	if added := p.Insert(seq(9)); added != 1 {
+	p.Unpin(Stream(1, 2), 2)
+	if added := p.Insert(Stream(9, 1)); added != 1 {
 		t.Fatalf("Insert after unpin added %d, want 1", added)
 	}
 }
 
 func TestPinMissingPagesIgnored(t *testing.T) {
 	p := New(1000, 16)
-	p.Insert(seq(1))
-	p.Pin(seq(1, 2, 3), 3) // pages 2,3 absent
-	p.Unpin(seq(1, 2, 3), 3)
-	if got := p.Match(seq(1)); got != 1 {
+	p.Insert(Stream(1, 1))
+	p.Pin(Stream(1, 3), 3) // pages 1,2 absent
+	p.Unpin(Stream(1, 3), 3)
+	if got := p.Match(Stream(1, 1)); got != 1 {
 		t.Fatal("pool corrupted by pinning missing pages")
 	}
 }
@@ -173,7 +199,7 @@ func TestReserveRelease(t *testing.T) {
 
 func TestReserveEvicts(t *testing.T) {
 	p := New(4*16, 16)
-	p.Insert(seq(1, 2, 3, 4))
+	p.Insert(Stream(1, 4))
 	if !p.Reserve(32) {
 		t.Fatal("Reserve should evict cached pages to make room")
 	}
@@ -184,8 +210,8 @@ func TestReserveEvicts(t *testing.T) {
 
 func TestReservePinnedBlocks(t *testing.T) {
 	p := New(2*16, 16)
-	p.Insert(seq(1, 2))
-	p.Pin(seq(1, 2), 2)
+	p.Insert(Stream(1, 2))
+	p.Pin(Stream(1, 2), 2)
 	if p.Reserve(16) {
 		t.Fatal("Reserve should fail when all pages pinned")
 	}
@@ -193,13 +219,13 @@ func TestReservePinnedBlocks(t *testing.T) {
 
 func TestClear(t *testing.T) {
 	p := New(1000, 16)
-	p.Insert(seq(1, 2, 3))
+	p.Insert(Stream(1, 3))
 	p.Reserve(100)
 	p.Clear()
 	if p.Used() != 0 || p.Reserved() != 0 {
 		t.Fatalf("after Clear: used=%d reserved=%d", p.Used(), p.Reserved())
 	}
-	if got := p.Match(seq(1)); got != 0 {
+	if got := p.Match(Stream(1, 1)); got != 0 {
 		t.Fatal("Clear left cached pages")
 	}
 }
@@ -220,12 +246,9 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 		for _, op := range ops {
 			switch op % 4 {
 			case 0:
+				// Sequences branch off eight shared heads.
 				n := int(op>>2)%8 + 1
-				pages := make([]PageID, n)
-				for i := range pages {
-					pages[i] = PageID((op >> 2) + uint32(i))
-				}
-				p.Insert(pages)
+				p.Insert(fork(uint64(op>>2)%8, int(op>>5)%4, uint64(op>>2), n))
 			case 1:
 				tok := int64(op>>2)%capacity + 1
 				if p.Reserve(tok) {
@@ -237,7 +260,7 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 					reserved = reserved[:len(reserved)-1]
 				}
 			case 3:
-				p.Match(seq(uint64(op>>2), uint64(op>>3)))
+				p.Match(fork(uint64(op>>2)%8, 1, uint64(op>>3), 2))
 			}
 			if p.Used()+p.Reserved() > p.Capacity() {
 				return false
@@ -256,17 +279,11 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 // Property: Match never reports more pages than were inserted along that
 // exact path, and insert-then-match roundtrips.
 func TestPropertyInsertMatchRoundtrip(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) > 40 {
-			raw = raw[:40]
-		}
-		pages := make([]PageID, len(raw))
-		for i, v := range raw {
-			pages[i] = PageID(uint64(i)<<8 | uint64(v)) // position-unique
-		}
-		p := New(int64(len(pages)+1)*16, 16)
+	f := func(head, body uint64, shared, n uint8) bool {
+		pages := fork(head, int(shared%41), body, int(n%41))
+		p := New(int64(pages.Len()+1)*16, 16)
 		p.Insert(pages)
-		return p.Match(pages) == len(pages)
+		return p.Match(pages) == pages.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -276,20 +293,19 @@ func TestPropertyInsertMatchRoundtrip(t *testing.T) {
 // A miniature of the paper's Figure 5: larger pools give monotonically
 // better hit rates on a multi-turn trace.
 func TestHitRateMonotoneInCapacity(t *testing.T) {
-	makeTrace := func() [][]PageID {
+	makeTrace := func() []Seq {
 		rng := rand.New(rand.NewPCG(7, 7))
-		var trace [][]PageID
-		// 50 sessions, multi-turn with growing shared context.
+		var trace []Seq
+		// 50 sessions, multi-turn with growing shared context: every
+		// turn is a longer prefix of its session's stream.
 		for s := 0; s < 50; s++ {
 			turns := rng.IntN(5) + 2
-			ctx := []PageID{}
+			ctx := 0
 			for turn := 0; turn < turns; turn++ {
 				for i := 0; i < rng.IntN(20)+5; i++ {
-					ctx = append(ctx, PageID(uint64(s)<<32|uint64(len(ctx))))
+					ctx++
 				}
-				cp := make([]PageID, len(ctx))
-				copy(cp, ctx)
-				trace = append(trace, cp)
+				trace = append(trace, Stream(uint64(s), ctx))
 			}
 		}
 		// Interleave sessions for realistic access patterns.
@@ -301,7 +317,7 @@ func TestHitRateMonotoneInCapacity(t *testing.T) {
 	for _, capacity := range []int64{50 * 16, 500 * 16, 5000 * 16, 500000 * 16} {
 		p := New(capacity, 16)
 		for _, pages := range trace {
-			p.MatchTokens(pages, len(pages)*16)
+			p.MatchTokens(pages, pages.Len()*16)
 			p.Insert(pages)
 		}
 		hr := p.Stats().HitRate()
@@ -318,19 +334,14 @@ func TestHitRateMonotoneInCapacity(t *testing.T) {
 func BenchmarkMatchInsert(b *testing.B) {
 	p := New(1<<30, 16)
 	rng := rand.New(rand.NewPCG(1, 1))
-	traces := make([][]PageID, 256)
+	traces := make([]Seq, 256)
 	for i := range traces {
-		n := rng.IntN(200) + 10
-		pages := make([]PageID, n)
-		for j := range pages {
-			pages[j] = PageID(uint64(i%32)<<32 | uint64(j))
-		}
-		traces[i] = pages
+		traces[i] = Stream(uint64(i%32), rng.IntN(200)+10)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := traces[i%len(traces)]
-		p.MatchTokens(tr, len(tr)*16)
+		p.MatchTokens(tr, tr.Len()*16)
 		p.Insert(tr)
 	}
 }

@@ -46,16 +46,16 @@ func TestTransferTime(t *testing.T) {
 
 func TestPoolPeekReadOnly(t *testing.T) {
 	p := New(1<<20, DefaultPageTokens)
-	pages := []PageID{1, 2, 3, 4}
+	pages := Stream(1, 4)
 	p.Insert(pages)
 	before := p.Stats()
 	if got := p.Peek(pages); got != 4 {
 		t.Fatalf("Peek = %d, want 4", got)
 	}
-	if got := p.Peek([]PageID{1, 2, 9}); got != 2 {
+	if got := p.Peek(Seq{Head: 1, HeadPages: 2, Body: 9, N: 3}); got != 2 {
 		t.Fatalf("partial Peek = %d, want 2", got)
 	}
-	if got := p.Peek([]PageID{9}); got != 0 {
+	if got := p.Peek(Stream(9, 1)); got != 0 {
 		t.Fatalf("miss Peek = %d, want 0", got)
 	}
 	if p.Stats() != before {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"muxwise/internal/gpu"
+	"muxwise/internal/kvcache"
 	"muxwise/internal/metrics"
 	"muxwise/internal/model"
 	"muxwise/internal/serve"
@@ -91,8 +92,8 @@ func TestMigrationDelaysFirstToken(t *testing.T) {
 	tr := &workload.Trace{Name: "one"}
 	r := &workload.Request{
 		ID: 0, InputTokens: 30000, OutputTokens: 5,
-		Pages:    nil,
-		AllPages: nil,
+		Pages:    kvcache.Seq{},
+		AllPages: kvcache.Seq{},
 	}
 	tr.Requests = append(tr.Requests, r)
 	res := serve.Run(New, cfg70B(), tr)

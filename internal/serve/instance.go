@@ -120,8 +120,8 @@ func (i *Instance) Abort(id int) bool { return i.Rec.Abort(id) }
 // migrated session's next turn admits as a cache hit instead of paying
 // a re-prefill. Returns pages actually inserted (capacity may evict or
 // truncate); a halted instance or a pool-less engine accepts nothing.
-func (i *Instance) PreloadKV(pages []kvcache.PageID) int {
-	if i.halted || len(pages) == 0 {
+func (i *Instance) PreloadKV(pages kvcache.Seq) int {
+	if i.halted || pages.Len() == 0 {
 		return 0
 	}
 	pr, ok := i.Eng.(PoolReporter)
@@ -140,7 +140,7 @@ func (i *Instance) PreloadKV(pages []kvcache.PageID) int {
 // without touching recency or statistics. KV migration uses it to clamp
 // what a drain can stream to what the pool physically retains — evicted
 // KV cannot be migrated.
-func (i *Instance) PeekKV(pages []kvcache.PageID) (matched, pageTokens int) {
+func (i *Instance) PeekKV(pages kvcache.Seq) (matched, pageTokens int) {
 	pr, ok := i.Eng.(PoolReporter)
 	if !ok {
 		return 0, 0

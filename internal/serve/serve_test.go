@@ -11,13 +11,7 @@ import (
 	"muxwise/internal/workload"
 )
 
-func pages(stream uint64, n int) []kvcache.PageID {
-	out := make([]kvcache.PageID, n)
-	for i := range out {
-		out[i] = kvcache.PageID(stream<<32 | uint64(i))
-	}
-	return out
-}
+func pages(stream uint64, n int) kvcache.Seq { return kvcache.Stream(stream, n) }
 
 func req(id int, input, output int) *workload.Request {
 	p := pages(uint64(id), kvcache.PageCount(input, 16))

@@ -8,25 +8,23 @@ import (
 	"math"
 	"sort"
 
-	"muxwise/internal/kvcache"
 	"muxwise/internal/sim"
 )
 
 // Sanity bounds on loaded traces. JSON numbers can carry values no
 // generator would emit (a 2^60-token request, a year-long arrival gap),
-// and page-sequence reconstruction allocates proportionally to the token
-// counts — so a loader fed hostile or corrupt input must reject rather
-// than arrive at an OOM or a simulation that never ends.
+// and a replay's KV work grows with the token counts — so a loader fed
+// hostile or corrupt input must reject rather than arrive at a
+// simulation that never ends.
 const (
 	// maxJSONLTokens bounds a single request's input and output token
 	// counts (~17× the largest model context simulated here).
 	maxJSONLTokens = 1 << 21
 	// maxJSONLTotalTokens budgets input+output tokens across the whole
-	// trace (~4× the largest paper-scale trace). A session's turns share
-	// one page array sized to its longest request, so page
-	// reconstruction stays under 32 MB (one 8-byte page ID per 16
-	// tokens of budget) no matter how many near-cap lines the input
-	// stacks up.
+	// trace (~4× the largest paper-scale trace), bounding the pages a
+	// replay publishes. Page reconstruction itself allocates nothing: a
+	// request's pages are a fixed-size descriptor of its session's
+	// stream.
 	maxJSONLTotalTokens = 1 << 26
 	// maxJSONLArrivalSeconds bounds arrival timestamps (~3 simulated
 	// years; real traces span minutes).
@@ -117,35 +115,20 @@ func ReadJSONL(r io.Reader, name string) (*Trace, error) {
 		if len(tr.Requests) >= maxJSONLRequests {
 			return nil, fmt.Errorf("workload: line %d: trace exceeds %d requests", line, maxJSONLRequests)
 		}
-		tr.Requests = append(tr.Requests, &Request{
+		req := &Request{
 			ID: rec.ID, Session: rec.Session, Turn: rec.Turn,
 			Arrival:      sim.FromSeconds(rec.Arrival),
 			InputTokens:  rec.Input,
 			ReusedTokens: rec.Reused,
 			OutputTokens: rec.Output,
 			Dataset:      rec.Dataset,
-		})
+		}
+		// Every turn of a session reads a prefix of one stream.
+		req.setPages(0, 0, 0xFEED<<40|uint64(rec.Session))
+		tr.Requests = append(tr.Requests, req)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
-	}
-	// Every turn of a session reads stream 0xFEED<<40|session from page
-	// 0, so one array sized to the session's longest request serves all
-	// of them.
-	sessionPages := map[int]int{}
-	for _, r := range tr.Requests {
-		n := kvcache.PageCount(r.InputTokens+r.OutputTokens, PageTokens)
-		sessionPages[r.Session] = max(sessionPages[r.Session], n)
-	}
-	shared := make(map[int][]kvcache.PageID, len(sessionPages))
-	for _, r := range tr.Requests {
-		all, ok := shared[r.Session]
-		if !ok {
-			all = make([]kvcache.PageID, sessionPages[r.Session])
-			fillPages(all, 0xFEED<<40|uint64(r.Session), 0)
-			shared[r.Session] = all
-		}
-		r.sharePages(all)
 	}
 	sort.SliceStable(tr.Requests, func(i, j int) bool {
 		return tr.Requests[i].Arrival < tr.Requests[j].Arrival

@@ -69,8 +69,8 @@ func FuzzParseJSONL(f *testing.F) {
 			if prev != nil && r.Arrival < prev.Arrival {
 				t.Fatalf("request %d: arrivals not sorted (%v after %v)", i, r.Arrival, prev.Arrival)
 			}
-			if len(r.Pages) == 0 || len(r.AllPages) < len(r.Pages) {
-				t.Fatalf("request %d: page sequences not reconstructed (%d input, %d total)", i, len(r.Pages), len(r.AllPages))
+			if r.Pages.Len() == 0 || r.AllPages.Len() < r.Pages.Len() {
+				t.Fatalf("request %d: page sequences not reconstructed (%d input, %d total)", i, r.Pages.Len(), r.AllPages.Len())
 			}
 			prev = r
 		}

@@ -50,9 +50,9 @@ func TestJSONLPreservesSessionPrefixes(t *testing.T) {
 	}
 	last := map[int][]uint64{}
 	for _, r := range got.Requests {
-		cur := make([]uint64, len(r.Pages))
-		for i, p := range r.Pages {
-			cur[i] = uint64(p)
+		var cur []uint64
+		for _, p := range r.Pages.AppendTo(nil) {
+			cur = append(cur, uint64(p))
 		}
 		if prev, ok := last[r.Session]; ok {
 			if len(prev) > len(cur) {

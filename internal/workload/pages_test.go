@@ -10,9 +10,9 @@ import (
 	"muxwise/internal/kvcache"
 )
 
-// refPageID is the reference page identity fillPages must reproduce:
-// hash/fnv's FNV-1a over the stream's and the index's little-endian
-// bytes.
+// refPageID is the reference page identity every generator must
+// reproduce: hash/fnv's FNV-1a over the stream's and the index's
+// little-endian bytes.
 func refPageID(stream uint64, idx int) kvcache.PageID {
 	h := fnv.New64a()
 	var buf [16]byte
@@ -46,32 +46,10 @@ func refRequestPages(sysPages int, stream uint64, input, output int) (pages, all
 	return pages, all
 }
 
-func TestFillPagesMatchesFNV(t *testing.T) {
-	streams := []uint64{0, 0xC0FFEE, 0xFEED<<40 | 7, ^uint64(0)}
-	indices := []int{0, 255, 256, 65535, 65536, 1 << 20, 1<<31 + 5}
-	for _, s := range streams {
-		for _, idx := range indices {
-			var got [1]kvcache.PageID
-			fillPages(got[:], s, idx)
-			if want := refPageID(s, idx); got[0] != want {
-				t.Errorf("stream %#x index %d: got %#x, want %#x", s, idx, got[0], want)
-			}
-		}
-		// A run crossing the 2^16 fast-path boundary.
-		got := make([]kvcache.PageID, 16)
-		fillPages(got, s, 1<<16-8)
-		for i, p := range got {
-			if want := refPageID(s, 1<<16-8+i); p != want {
-				t.Errorf("stream %#x run index %d: got %#x, want %#x", s, 1<<16-8+i, p, want)
-			}
-		}
-	}
-}
-
-// checkTracePages asserts every request's pages equal the reference
-// materialisation, that Pages is a prefix of AllPages, that both are
-// capacity-capped, and that appending to any request's slices leaves
-// every other request's pages intact.
+// checkTracePages asserts every request's materialised pages equal the
+// reference element for element, that Pages is AllPages' prefix over
+// the input, and that writing into a materialised copy leaves every
+// request's pages intact.
 func checkTracePages(t *testing.T, tr *Trace, sysPages int, stream func(*Request) uint64) {
 	t.Helper()
 	if tr.Len() == 0 {
@@ -81,25 +59,24 @@ func checkTracePages(t *testing.T, tr *Trace, sysPages int, stream func(*Request
 		t.Helper()
 		for _, r := range tr.Requests {
 			pages, all := refRequestPages(sysPages, stream(r), r.InputTokens, r.OutputTokens)
-			if !slices.Equal(r.Pages, pages) || !slices.Equal(r.AllPages, all) {
+			if !slices.Equal(r.Pages.AppendTo(nil), pages) || !slices.Equal(r.AllPages.AppendTo(nil), all) {
 				t.Fatalf("%s %s: request %d (session %d turn %d) pages differ from the reference",
 					tr.Name, stage, r.ID, r.Session, r.Turn)
 			}
-			if !slices.Equal(r.AllPages[:len(r.Pages)], r.Pages) {
-				t.Fatalf("%s: request %d Pages is not a prefix of AllPages", tr.Name, r.ID)
-			}
-			if cap(r.Pages) != len(r.Pages) || cap(r.AllPages) != len(r.AllPages) {
-				t.Fatalf("%s: request %d capacity not capped: Pages %d/%d AllPages %d/%d",
-					tr.Name, r.ID, len(r.Pages), cap(r.Pages), len(r.AllPages), cap(r.AllPages))
+			if r.Pages != r.AllPages.Prefix(kvcache.PageCount(r.InputTokens, PageTokens)) {
+				t.Fatalf("%s: request %d Pages %+v is not the input prefix of AllPages %+v",
+					tr.Name, r.ID, r.Pages, r.AllPages)
 			}
 		}
 	}
 	check("as generated")
 	for _, r := range tr.Requests {
-		_ = append(r.Pages, 0xBAD)
-		_ = append(r.AllPages, 0xBAD)
+		all := r.AllPages.AppendTo(nil)
+		for i := range all {
+			all[i] = 0xBAD
+		}
 	}
-	check("after appends")
+	check("after writes to materialised copies")
 }
 
 func TestGeneratorPagesMatchReference(t *testing.T) {

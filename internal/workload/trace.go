@@ -24,13 +24,13 @@ type Request struct {
 
 	// Pages covers the input context; AllPages additionally covers the
 	// output, i.e. what a finished request publishes into the KV cache.
-	// Pages is a prefix of AllPages, and every turn of a multi-turn
-	// session holds a prefix of one page array shared by the whole
-	// session. Callers must treat both slices as read-only; their
-	// capacity is capped at their length, so an append copies instead of
-	// overwriting a sibling turn's pages.
-	Pages    []kvcache.PageID
-	AllPages []kvcache.PageID
+	// Both are fixed-size descriptors that compute page IDs on demand,
+	// so a request holds no page memory. Pages is AllPages' prefix over
+	// the input's pages; a shared system prompt is the Head stream, and
+	// every turn of a multi-turn session reads a prefix of the session's
+	// one Body stream.
+	Pages    kvcache.Seq
+	AllPages kvcache.Seq
 
 	Dataset string
 }
@@ -44,12 +44,14 @@ func (r *Request) NewTokens() int {
 	return n
 }
 
-// sharePages points Pages and AllPages at capacity-capped prefixes of
-// all, a page array covering at least the request's input and output.
-func (r *Request) sharePages(all []kvcache.PageID) {
-	in := kvcache.PageCount(r.InputTokens, PageTokens)
-	n := kvcache.PageCount(r.InputTokens+r.OutputTokens, PageTokens)
-	r.Pages, r.AllPages = all[:in:in], all[:n:n]
+// setPages describes the request's pages: head pages of the head stream,
+// then the body stream from its first page, covering input and output.
+func (r *Request) setPages(head uint64, headPages int, body uint64) {
+	r.AllPages = kvcache.Seq{
+		Head: head, HeadPages: int32(headPages), Body: body,
+		N: int32(kvcache.PageCount(r.InputTokens+r.OutputTokens, PageTokens)),
+	}
+	r.Pages = r.AllPages.Prefix(kvcache.PageCount(r.InputTokens, PageTokens))
 }
 
 // Trace is an ordered set of requests.
@@ -61,43 +63,6 @@ type Trace struct {
 // Len returns the number of requests.
 func (t *Trace) Len() int { return len(t.Requests) }
 
-// FNV-1a 64-bit parameters (hash/fnv). fnvPrime64x7 is fnvPrime64⁷
-// mod 2⁶⁴: an FNV-1a round over a zero byte only multiplies, so the six
-// zero high bytes of a page index below 2¹⁶, with the multiply of the
-// byte before them, fold into one multiply.
-const (
-	fnvOffset64  = 14695981039346656037
-	fnvPrime64   = 1099511628211
-	fnvPrime64x7 = 0xc5527b8a51d3d2db
-)
-
-// fillPages sets dst[i] to the identity of page from+i of a content
-// stream: FNV-1a over the stream's and the index's little-endian bytes.
-// The stream's eight bytes are hashed once for the whole run of pages.
-func fillPages(dst []kvcache.PageID, stream uint64, from int) {
-	h := uint64(fnvOffset64)
-	for i := 0; i < 8; i++ {
-		h ^= (stream >> (8 * i)) & 0xff
-		h *= fnvPrime64
-	}
-	for i := range dst {
-		idx := uint64(from + i)
-		g := h
-		if idx < 1<<16 {
-			g ^= idx & 0xff
-			g *= fnvPrime64
-			g ^= idx >> 8
-			g *= fnvPrime64x7
-		} else {
-			for b := 0; b < 8; b++ {
-				g ^= (idx >> (8 * b)) & 0xff
-				g *= fnvPrime64
-			}
-		}
-		dst[i] = kvcache.PageID(g)
-	}
-}
-
 // PageTokens is the page granularity all traces are generated with.
 const PageTokens = kvcache.DefaultPageTokens
 
@@ -106,24 +71,20 @@ const PageTokens = kvcache.DefaultPageTokens
 func singleTurn(name string, seed uint64, n int, in, out Dist, sysTokens int) *Trace {
 	rng := rand.New(rand.NewPCG(seed, 0x9E3779B97F4A7C15))
 	tr := &Trace{Name: name, Requests: make([]*Request, 0, n)}
-	sysPages := make([]kvcache.PageID, kvcache.PageCount(sysTokens, PageTokens))
-	fillPages(sysPages, 0xC0FFEE, 0)
+	sysPages := kvcache.PageCount(sysTokens, PageTokens)
 	for i := 0; i < n; i++ {
 		input := in.SampleInt(rng)
 		if input <= sysTokens {
 			input = sysTokens + 1
 		}
 		output := out.SampleInt(rng)
-		// The system prompt's pages, then the request's own stream.
-		all := make([]kvcache.PageID, kvcache.PageCount(input+output, PageTokens))
-		copy(all, sysPages)
-		fillPages(all[len(sysPages):], seed<<20|uint64(i), 0)
 		r := &Request{
 			ID: i, Session: i, Turn: 0,
 			InputTokens: input, ReusedTokens: sysTokens, OutputTokens: output,
 			Dataset: name,
 		}
-		r.sharePages(all)
+		// The system prompt's pages, then the request's own stream.
+		r.setPages(0xC0FFEE, sysPages, seed<<20|uint64(i))
 		tr.Requests = append(tr.Requests, r)
 	}
 	return tr
@@ -162,16 +123,14 @@ type multiTurnParams struct {
 
 // multiTurn builds session traces where each turn's context is the full
 // history of the session (inputs + outputs), giving the growing reused
-// lengths of the Conversation and Tool&Agent traces. A session's turns
-// are drawn first; one page array then covers the session's final
-// context, and every turn's Pages and AllPages are prefixes of it.
+// lengths of the Conversation and Tool&Agent traces. Every turn's pages
+// are a prefix of one stream per session.
 func multiTurn(p multiTurnParams, seed uint64, sessions int) *Trace {
 	rng := rand.New(rand.NewPCG(seed, 0xD1B54A32D192ED03))
 	tr := &Trace{Name: p.name}
 	id := 0
 	for s := 0; s < sessions; s++ {
 		turns := p.turns.SampleInt(rng)
-		first := len(tr.Requests)
 		ctx := 0 // tokens accumulated in the session so far
 		for turn := 0; turn < turns; turn++ {
 			in := p.firstInput
@@ -184,18 +143,15 @@ func multiTurn(p multiTurnParams, seed uint64, sessions int) *Trace {
 				break
 			}
 			input := ctx + newTok
-			tr.Requests = append(tr.Requests, &Request{
+			r := &Request{
 				ID: id, Session: s, Turn: turn,
 				InputTokens: input, ReusedTokens: ctx, OutputTokens: output,
 				Dataset: p.name,
-			})
+			}
+			r.setPages(0, 0, seed<<22|uint64(s))
+			tr.Requests = append(tr.Requests, r)
 			id++
 			ctx = input + output
-		}
-		all := make([]kvcache.PageID, kvcache.PageCount(ctx, PageTokens))
-		fillPages(all, seed<<22|uint64(s), 0)
-		for _, r := range tr.Requests[first:] {
-			r.sharePages(all)
 		}
 	}
 	return tr
@@ -265,6 +221,9 @@ type Stats struct {
 
 // Stats computes Table 1-style statistics for the trace.
 func (t *Trace) Stats() Stats {
+	if len(t.Requests) == 0 {
+		return Stats{}
+	}
 	s := Stats{InMin: math.MaxInt, OutMin: math.MaxInt, ReuseMin: math.MaxInt}
 	var inSum, outSum, reuseSum int
 	for _, r := range t.Requests {
@@ -279,11 +238,9 @@ func (t *Trace) Stats() Stats {
 		s.ReuseMin = min(s.ReuseMin, r.ReusedTokens)
 		s.ReuseMax = max(s.ReuseMax, r.ReusedTokens)
 	}
-	if s.Count > 0 {
-		s.InMean = inSum / s.Count
-		s.OutMean = outSum / s.Count
-		s.ReuseMean = reuseSum / s.Count
-	}
+	s.InMean = inSum / s.Count
+	s.OutMean = outSum / s.Count
+	s.ReuseMean = reuseSum / s.Count
 	return s
 }
 

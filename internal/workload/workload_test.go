@@ -96,6 +96,18 @@ func TestTable1Statistics(t *testing.T) {
 	}
 }
 
+// An empty trace has no minimums to report: every statistic is zero.
+func TestEmptyTraceStats(t *testing.T) {
+	for _, tr := range []*Trace{{Name: "empty"}, ShareGPT(1, 0), Conversation(1, 0)} {
+		if s := tr.Stats(); s != (Stats{}) {
+			t.Errorf("%s: Stats() = %+v, want zeros", tr.Name, s)
+		}
+	}
+	if got, want := (&Trace{}).Stats().String(), "n=0 input 0/0/0 output 0/0/0 reused 0/0/0"; got != want {
+		t.Errorf("empty Stats renders %q, want %q", got, want)
+	}
+}
+
 func TestGeneratorDeterminism(t *testing.T) {
 	a := Conversation(42, 100)
 	b := Conversation(42, 100)
@@ -105,7 +117,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 	for i := range a.Requests {
 		x, y := a.Requests[i], b.Requests[i]
 		if x.InputTokens != y.InputTokens || x.OutputTokens != y.OutputTokens ||
-			x.ReusedTokens != y.ReusedTokens || len(x.Pages) != len(y.Pages) {
+			x.ReusedTokens != y.ReusedTokens || x.Pages != y.Pages || x.AllPages != y.AllPages {
 			t.Fatalf("request %d differs between identical seeds", i)
 		}
 	}
@@ -128,9 +140,9 @@ func TestMultiTurnPrefixProperty(t *testing.T) {
 	tr := ToolAgent(5, 200)
 	lastPages := map[int][]uint64{}
 	for _, r := range tr.Requests {
-		pages := make([]uint64, len(r.Pages))
-		for i, p := range r.Pages {
-			pages[i] = uint64(p)
+		var pages []uint64
+		for _, p := range r.Pages.AppendTo(nil) {
+			pages = append(pages, uint64(p))
 		}
 		if prev, ok := lastPages[r.Session]; ok {
 			if len(prev) > len(pages) {
@@ -150,17 +162,17 @@ func TestMultiTurnPrefixProperty(t *testing.T) {
 func TestAllPagesExtendInput(t *testing.T) {
 	for _, tr := range []*Trace{ShareGPT(2, 50), Conversation(2, 20), OpenThoughts(2, 30)} {
 		for _, r := range tr.Requests {
-			if len(r.AllPages) < len(r.Pages) {
+			if r.AllPages.Len() < r.Pages.Len() {
 				t.Fatalf("%s req %d: AllPages shorter than Pages", tr.Name, r.ID)
 			}
-			for i := range r.Pages {
-				if r.AllPages[i] != r.Pages[i] {
+			for i := range r.Pages.Len() {
+				if r.AllPages.At(i) != r.Pages.At(i) {
 					t.Fatalf("%s req %d: AllPages not an extension of Pages", tr.Name, r.ID)
 				}
 			}
 			wantAll := kvcache.PageCount(r.InputTokens+r.OutputTokens, PageTokens)
-			if math.Abs(float64(len(r.AllPages)-wantAll)) > 1 {
-				t.Fatalf("%s req %d: AllPages=%d, want ≈%d", tr.Name, r.ID, len(r.AllPages), wantAll)
+			if math.Abs(float64(r.AllPages.Len()-wantAll)) > 1 {
+				t.Fatalf("%s req %d: AllPages=%d, want ≈%d", tr.Name, r.ID, r.AllPages.Len(), wantAll)
 			}
 		}
 	}
@@ -171,7 +183,7 @@ func TestOpenThoughtsSharedPrompt(t *testing.T) {
 	first := tr.Requests[0].Pages
 	for _, r := range tr.Requests[1:] {
 		for i := 0; i < 15; i++ { // 243 tokens / 16 per page = 15.2 pages
-			if r.Pages[i] != first[i] {
+			if r.Pages.At(i) != first.At(i) {
 				t.Fatalf("request %d does not share the system prompt pages", r.ID)
 			}
 		}
